@@ -160,8 +160,9 @@ stage_latency() {
 # Script suite: the DML frontend's round-trip and span-diagnostic
 # contract, the corpus/builder-twin digest identity, and the structured
 # differential fuzzer under both chaos seeds (plus one single-threaded
-# pass), then the full exp_script experiment (corpus differential +
-# 200 generated programs per seed, zero divergences).
+# pass), the lineage-debugging example (RECOMPUTE of a conv2d/max_pool2d
+# intermediate), then the full exp_script experiment (corpus
+# differential + 200 generated programs per seed, zero divergences).
 stage_script() {
     for seed in 42 1337; do
         CHAOS_SEED="$seed" cargo test -q -p memphis-script
@@ -170,6 +171,7 @@ stage_script() {
     done
     CHAOS_SEED=42 cargo test -q -p memphis-integration --test script \
         -- --test-threads=1
+    cargo run -q --release -p memphis-examples --bin lineage_debugging
     cargo run -q --release -p memphis-bench --bin exp_script
 }
 

@@ -6,8 +6,9 @@
 //! * compiles every committed corpus script, round-trips it through the
 //!   pretty-printer (parse → print → parse must lower to the identical
 //!   program), and runs the full differential (reuse-on vs reuse-off,
-//!   `Paper` vs `DelayedHits`, warm-restart-after-spill), asserting
-//!   bit-identical sink digests across all four configurations;
+//!   `Paper` vs `DelayedHits`, warm-restart-after-spill, RECOMPUTE from
+//!   lineage), asserting bit-identical sink digests across all five
+//!   configurations;
 //! * fuzzes 200 generated well-typed programs through the same
 //!   differential, asserting zero divergences — any divergence would be
 //!   minimized and written to a runnable `.dml` repro under the system
@@ -27,9 +28,10 @@ fn main() {
     header(
         "memphis-script: DML corpus + structured differential fuzzer",
         "every script runs reuse-on vs reuse-off, Paper vs DelayedHits, \
-         and warm-restart-after-spill; sink digests must be bit-identical \
-         in all four configurations, for the committed corpus and for \
-         200 generated programs per seed",
+         and warm-restart-after-spill, and its sinks are RECOMPUTEd from \
+         lineage; sink digests must be bit-identical in all five \
+         configurations, for the committed corpus and for 200 generated \
+         programs per seed",
     );
 
     // Corpus: round-trip stability + the differential.
@@ -53,7 +55,7 @@ fn main() {
             "corpus script {name} diverged: {digests:?}"
         );
         println!(
-            "corpus {name:<10} nodes={:<4} digest={:016x}  (reuse-on/off, delayed-hits, warm-restart agree)",
+            "corpus {name:<10} nodes={:<4} digest={:016x}  (reuse-on/off, delayed-hits, warm-restart, recompute agree)",
             c.node_count(),
             digests[0].1
         );

@@ -914,7 +914,7 @@ impl ScriptGateOutcome {
 
 /// Compiles and differentially runs every committed corpus script, then
 /// fuzzes `programs` generated programs under the same differential
-/// (reuse-on/off, `Paper`/`DelayedHits`, warm-restart).
+/// (reuse-on/off, `Paper`/`DelayedHits`, warm-restart, recompute).
 pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
     use memphis_workloads::script;
 

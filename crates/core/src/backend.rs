@@ -149,23 +149,6 @@ impl EvictionPolicy {
         let c = if max_cost > 0.0 { cost / max_cost } else { 0.0 };
         ta + inv_h + c
     }
-
-    /// Selects the minimum-score victim among a bounded sample of
-    /// candidates (eq. (1) ordering). Keys are interned ids, so the
-    /// winner is returned by value — no per-candidate clone.
-    pub fn select_victim<'a, I>(&self, candidates: I) -> Option<LineageId>
-    where
-        I: Iterator<Item = (&'a LineageId, &'a CacheEntry)>,
-    {
-        candidates
-            .take(self.sample_limit)
-            .min_by(|(_, a), (_, b)| {
-                self.score(a)
-                    .partial_cmp(&self.score(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(k, _)| *k)
-    }
 }
 
 /// One shard of the unified probe map: lineage keys to entries (any
@@ -362,7 +345,6 @@ impl fmt::Debug for BackendRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage::LineageItem;
 
     #[test]
     fn backend_id_tags_and_display() {
@@ -396,20 +378,6 @@ mod tests {
         assert!(stale_tall_cheap < fresh_short_costly);
         // Degenerate clocks/costs do not divide by zero.
         assert!(EvictionPolicy::gpu_score(0, 0, 0, 0.0, 0.0).is_finite());
-    }
-
-    #[test]
-    fn select_victim_picks_min_score() {
-        let policy = EvictionPolicy::default();
-        let mut map = EntryMap::new();
-        for (name, cost) in [("a", 50.0), ("b", 2.0), ("c", 9.0)] {
-            let item = LineageItem::leaf(name);
-            let e = CacheEntry::cached(&item, CachedObject::Scalar(0.0), cost, 16);
-            map.entries.insert(item.lid, e);
-        }
-        let victim = policy.select_victim(map.entries.iter()).expect("victim");
-        let e = &map.entries[&victim];
-        assert_eq!(e.compute_cost, 2.0, "cheapest entry evicted first");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::cost;
 use crate::ops::AggDir;
 use crate::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
 use memphis_core::{BackendId, BackendRegistry};
+use memphis_matrix::Matrix;
 use std::collections::HashMap;
 
 /// Backend assignment of a node.
@@ -86,6 +87,7 @@ pub fn infer_dims(dag: &Dag, var_dims: &HashMap<String, (usize, usize)>) -> Vec<
     for n in &dag.nodes {
         let d = match &n.kind {
             OpKind::Rand { rows, cols, .. } => (*rows, *cols),
+            OpKind::Seq { from, to, incr } => Matrix::seq(*from, *to, *incr).shape(),
             OpKind::MatMul => {
                 let a = get(&dims, &n.inputs[0]);
                 let b = get(&dims, &n.inputs[1]);
@@ -116,6 +118,10 @@ pub fn infer_dims(dag: &Dag, var_dims: &HashMap<String, (usize, usize)>) -> Vec<
             }
             OpKind::BinaryScalar { .. }
             | OpKind::Unary(_)
+            | OpKind::Softmax
+            | OpKind::Dropout { .. }
+            // Row selection: the mask is unknown, so assume every row.
+            | OpKind::SelectRows
             | OpKind::Alias
             | OpKind::Checkpoint
             | OpKind::Prefetch
@@ -129,6 +135,16 @@ pub fn infer_dims(dag: &Dag, var_dims: &HashMap<String, (usize, usize)>) -> Vec<
             }
             OpKind::SliceCols { start, end } => {
                 (get(&dims, &n.inputs[0]).0, end.saturating_sub(*start))
+            }
+            OpKind::Rbind => {
+                let a = get(&dims, &n.inputs[0]);
+                let b = get(&dims, &n.inputs[1]);
+                (a.0 + b.0, a.1)
+            }
+            OpKind::Cbind => {
+                let a = get(&dims, &n.inputs[0]);
+                let b = get(&dims, &n.inputs[1]);
+                (a.0, a.1 + b.1)
             }
             OpKind::Conv2d(p) => (get(&dims, &n.inputs[0]).0, p.out_cols()),
             OpKind::MaxPool2d(p) => (get(&dims, &n.inputs[0]).0, p.out_cols()),
@@ -171,13 +187,12 @@ pub fn place(
     for n in &dag.nodes {
         let any_sp = n.inputs.iter().any(|o| input_is_sp(&backend, o));
         let (r, c) = dims[n.id];
-        let opcode = opcode_of(&n.kind);
         backend[n.id] = if any_sp {
             // The operator runs on Spark; if action-like, its output is
             // still collected to the driver (handled by input_is_sp).
             Backend::Sp
         } else if caps.gpu
-            && cost::is_compute_intensive(opcode)
+            && n.kind.gpu_eligible()
             && r * c >= cfg.gpu_min_cells
             && cost::dense_bytes(r, c) <= caps.gpu_capacity
         {
@@ -187,31 +202,6 @@ pub fn place(
         };
     }
     backend
-}
-
-fn opcode_of(kind: &OpKind) -> &'static str {
-    match kind {
-        OpKind::Rand { .. } => "rand",
-        OpKind::MatMul => "ba+*",
-        OpKind::Tsmm => "tsmm",
-        OpKind::Xty => "ba+*",
-        OpKind::Transpose => "r'",
-        OpKind::Solve => "solve",
-        OpKind::Binary(op) | OpKind::BinaryScalar { op, .. } => op.opcode(),
-        OpKind::Unary(op) => op.opcode(),
-        OpKind::Agg(op, _) => op.opcode(),
-        OpKind::Literal(_) => "assignvar",
-        OpKind::Alias => "assignvar",
-        OpKind::SliceRows { .. } => "rightIndex",
-        OpKind::SliceCols { .. } => "rightIndexCol",
-        OpKind::Conv2d(_) => "conv2d",
-        OpKind::MaxPool2d(_) => "maxpool",
-        OpKind::Affine => "affine",
-        OpKind::Checkpoint => "chkpoint",
-        OpKind::Prefetch => "prefetch",
-        OpKind::Broadcast => "broadcast",
-        OpKind::Evict(_) => "evict",
-    }
 }
 
 // ----------------------------------------------------------------------

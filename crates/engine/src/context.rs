@@ -160,6 +160,20 @@ impl ExecutionContext {
         self.gpu.as_ref()
     }
 
+    /// The Spark driver, or an error when none is attached.
+    pub(crate) fn require_spark(&self) -> Result<&SparkContext> {
+        self.sc
+            .as_ref()
+            .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))
+    }
+
+    /// The GPU device, or an error when none is attached.
+    pub(crate) fn require_gpu(&self) -> Result<&Arc<GpuDevice>> {
+        self.gpu
+            .as_ref()
+            .ok_or_else(|| EngineError::Unsupported("no GPU backend".into()))
+    }
+
     /// Engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
@@ -271,8 +285,8 @@ impl ExecutionContext {
     {
         self.stats.instructions += 1;
         let mode = self.cfg.reuse;
-        let op: String = opcode.to_string();
-        let _instr_span = memphis_obs::span_with(memphis_obs::cat::INTERP, "instr", move || op);
+        let _instr_span =
+            memphis_obs::span_with(memphis_obs::cat::INTERP, "instr", || opcode.to_string());
 
         // TRACE
         let item = if mode.traces() {
@@ -402,7 +416,9 @@ impl ExecutionContext {
         }
     }
 
-    /// Which values this mode offers to the cache.
+    /// Which values this mode offers to the cache, for operator and
+    /// function (multi-level) entries alike: LIMA and HELIX cache local
+    /// results only; MEMPHIS caches any backend.
     fn cacheable_object(&self, value: &Value) -> Option<CachedObject> {
         let mode = self.cfg.reuse;
         match value {
@@ -444,10 +460,7 @@ impl ExecutionContext {
                 cols,
                 blen,
             } => {
-                let sc = self
-                    .sc
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?;
+                let sc = self.require_spark()?;
                 let m = sc
                     .collect_blocked(&rdd, rows, cols, blen)
                     .to_dense()
@@ -458,10 +471,7 @@ impl ExecutionContext {
                 Ok(m)
             }
             Value::Gpu { ptr, .. } => {
-                let gpu = self
-                    .gpu
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no GPU backend".into()))?;
+                let gpu = self.require_gpu()?;
                 Ok(gpu.copy_to_host(ptr)?)
             }
             Value::Future(f) => {
@@ -507,11 +517,7 @@ impl ExecutionContext {
                 cols,
                 blen,
             } => {
-                let sc = self
-                    .sc
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?
-                    .clone();
+                let sc = self.require_spark()?.clone();
                 let cache = self.cache.clone();
                 let item = b.lineage.clone();
                 let fut = future.clone();
@@ -563,11 +569,7 @@ impl ExecutionContext {
                 Ok(())
             }
             Value::Gpu { ptr, .. } => {
-                let gpu = self
-                    .gpu
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no GPU backend".into()))?
-                    .clone();
+                let gpu = self.require_gpu()?.clone();
                 let fut = future.clone();
                 std::thread::spawn(move || {
                     let _span = memphis_obs::span(memphis_obs::cat::ASYNC, "prefetch_d2h");
@@ -591,16 +593,10 @@ impl ExecutionContext {
     /// (torrent-chunked, lazily shipped). Later distributed operators use
     /// the handle instead of re-broadcasting.
     pub fn broadcast(&mut self, var: &str) -> Result<()> {
-        let sc = self
-            .sc
-            .as_ref()
-            .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?
-            .clone();
-        let b = self.binding(var)?.clone();
-        if let Value::Matrix(m) = b.value {
+        self.require_spark()?;
+        if let Value::Matrix(m) = self.binding(var)?.value.clone() {
             let _span = memphis_obs::span(memphis_obs::cat::ASYNC, "broadcast");
-            let bc = sc.broadcast(m.clone());
-            self.bind(var, Value::Broadcast { bc, local: m }, b.lineage, b.cost);
+            self.rebroadcast(var, m)?;
         }
         Ok(())
     }
@@ -615,12 +611,8 @@ impl ExecutionContext {
     /// (§5.2). Counts toward the lineage cache's RDD budget accounting.
     pub fn checkpoint(&mut self, var: &str) -> Result<()> {
         let b = self.binding(var)?;
-        if let Value::Rdd {
-            rdd, rows, cols, ..
-        } = &b.value
-        {
+        if let Value::Rdd { rdd, .. } = &b.value {
             rdd.persist(memphis_sparksim::StorageLevel::MemoryAndDisk);
-            let _ = (rows, cols);
         }
         Ok(())
     }
@@ -715,7 +707,7 @@ impl ExecutionContext {
                     let Ok(b) = self.binding(out) else { continue };
                     let cost = b.cost;
                     let value = b.value.clone();
-                    if let Some(obj) = self.cacheable_function_object(&value) {
+                    if let Some(obj) = self.cacheable_object(&value) {
                         let size_hint = value
                             .shape()
                             .map(|(r, c)| cost::dense_bytes(r, c))
@@ -729,30 +721,6 @@ impl ExecutionContext {
             }
         }
         Ok(())
-    }
-
-    /// Function outputs cacheable under multi-level entries: HELIX caches
-    /// local results only; MEMPHIS caches any backend.
-    fn cacheable_function_object(&self, value: &Value) -> Option<CachedObject> {
-        match value {
-            Value::Matrix(m) => Some(CachedObject::Matrix(Arc::new(m.clone()))),
-            Value::Scalar(v) => Some(CachedObject::Scalar(*v)),
-            Value::Rdd {
-                rdd, rows, cols, ..
-            } if self.cfg.reuse.multibackend() => Some(CachedObject::Rdd {
-                rdd: rdd.clone(),
-                rows: *rows,
-                cols: *cols,
-            }),
-            Value::Gpu { ptr, rows, cols } if self.cfg.reuse.multibackend() => {
-                Some(CachedObject::Gpu {
-                    ptr: *ptr,
-                    rows: *rows,
-                    cols: *cols,
-                })
-            }
-            _ => None,
-        }
     }
 }
 

@@ -1,63 +1,91 @@
-//! Analytical compute-cost and size estimation, used for eviction scoring
-//! (eq. 1 and 2), operator placement, and checkpoint decisions.
-
-/// Estimated floating-point operations of an instruction, given the shapes
-/// involved. Units are abstract FLOPs — only relative magnitudes matter
-/// for the eviction policies.
-pub fn flops(opcode: &str, m: usize, k: usize, n: usize) -> f64 {
-    let m = m.max(1) as f64;
-    let k = k.max(1) as f64;
-    let n = n.max(1) as f64;
-    match opcode {
-        // Matrix multiply family: 2*m*k*n.
-        "ba+*" | "mm" => 2.0 * m * k * n,
-        "tsmm" => m * n * n, // symmetric: half of 2*m*n*n
-        "solve" => (2.0 / 3.0) * n * n * n + 2.0 * n * n * m,
-        "conv2d" => 2.0 * m * k * n, // caller passes im2col dims
-        // Cheap elementwise / reorg ops: one pass.
-        _ => m * n,
-    }
-}
+//! Size estimation for eviction scoring and placement. Per-operator
+//! compute costs live in the operator table ([`crate::plan::OpKind`]);
+//! this module's tests pin that cost model.
 
 /// Dense size in bytes of an `rows x cols` f64 matrix.
 pub fn dense_bytes(rows: usize, cols: usize) -> usize {
     rows * cols * 8
 }
 
-/// Classifies an opcode as compute-intensive (GPU-worthy in SystemDS's
-/// placement heuristic).
-pub fn is_compute_intensive(opcode: &str) -> bool {
-    matches!(
-        opcode,
-        "ba+*" | "mm" | "tsmm" | "conv2d" | "affine" | "solve" | "maxpool" | "softmax"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::AggDir;
+    use crate::plan::OpKind;
+    use memphis_matrix::ops::agg::AggOp;
+    use memphis_matrix::ops::binary::BinaryOp;
+    use memphis_matrix::ops::nn::{Conv2dParams, Pool2dParams};
+    use memphis_matrix::ops::unary::UnaryOp;
 
     #[test]
     fn matmul_dominates_elementwise() {
-        assert!(flops("ba+*", 100, 100, 100) > flops("+", 100, 1, 100));
+        assert!(
+            OpKind::MatMul.flops(100, 100, 100) > OpKind::Binary(BinaryOp::Add).flops(100, 1, 100)
+        );
     }
 
     #[test]
     fn tsmm_cheaper_than_full_mm() {
-        assert!(flops("tsmm", 1000, 1, 50) < flops("ba+*", 50, 1000, 50));
+        assert!(OpKind::Tsmm.flops(1000, 1, 50) < OpKind::MatMul.flops(50, 1000, 50));
     }
 
     #[test]
     fn zero_dims_clamped() {
-        assert!(flops("+", 0, 0, 0) >= 1.0);
+        assert!(OpKind::Binary(BinaryOp::Add).flops(0, 0, 0) >= 1.0);
+        // Data movement counts the cells it touches, so empty is free.
+        assert_eq!(OpKind::SliceRows { start: 2, end: 2 }.flops(0, 1, 5), 0.0);
     }
 
     #[test]
     fn classification() {
-        assert!(is_compute_intensive("ba+*"));
-        assert!(is_compute_intensive("conv2d"));
-        assert!(!is_compute_intensive("+"));
-        assert!(!is_compute_intensive("relu"));
+        assert!(OpKind::MatMul.gpu_eligible());
+        assert!(OpKind::Conv2d(Conv2dParams {
+            in_channels: 1,
+            out_channels: 1,
+            height: 3,
+            width: 3,
+            kernel: 3,
+            stride: 1,
+            pad: 0,
+        })
+        .gpu_eligible());
+        assert!(OpKind::Xty.gpu_eligible());
+        assert!(OpKind::Softmax.gpu_eligible());
+        assert!(!OpKind::Binary(BinaryOp::Add).gpu_eligible());
+        assert!(!OpKind::Unary(UnaryOp::Relu).gpu_eligible());
+        assert!(!OpKind::Agg(AggOp::Max, AggDir::Full).gpu_eligible());
+        assert!(!OpKind::Dropout { rate: 0.5, seed: 1 }.gpu_eligible());
+    }
+
+    #[test]
+    fn matmul_family_costs_two_mkn() {
+        let (m, k, n) = (7, 11, 13);
+        let mm = 2.0 * 7.0 * 11.0 * 13.0;
+        assert_eq!(OpKind::MatMul.flops(m, k, n), mm);
+        assert_eq!(OpKind::Affine.flops(m, k, n), mm);
+        assert_eq!(OpKind::Xty.flops(m, k, n), mm);
+        // Pooling, softmax, dropout and rand keep the one-pass m*n cost.
+        let pool = OpKind::MaxPool2d(Pool2dParams {
+            channels: 1,
+            height: 4,
+            width: 4,
+            window: 2,
+            stride: 2,
+        });
+        for kind in [
+            pool,
+            OpKind::Softmax,
+            OpKind::Dropout { rate: 0.5, seed: 1 },
+            OpKind::Rand {
+                rows: 1,
+                cols: 1,
+                min: 0.0,
+                max: 1.0,
+                seed: 1,
+            },
+        ] {
+            assert_eq!(kind.flops(m, 1, n), 91.0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! per-block delay factors, and inserted cache-management operators.
 
 use crate::compiler::{linearize, place, Ordering, PlacementCaps};
-use crate::context::{EngineError, ExecutionContext, Result};
-use crate::plan::{Block, Dag, OpKind, Operand, Program, ScalarRef};
+use crate::context::{ExecutionContext, Result};
+use crate::plan::{Block, Dag, Operand, Program};
 
 /// Executes a program. `ordering` selects the linearization strategy
 /// (depth-first baseline or Algorithm 2's `maxParallelize`).
@@ -107,66 +107,8 @@ fn run_dag(
         let node = &dag.nodes[id];
         let out = name_of(id);
         let ins: Vec<String> = node.inputs.iter().map(&operand_name).collect();
-        match &node.kind {
-            OpKind::Rand {
-                rows,
-                cols,
-                min,
-                max,
-                seed,
-            } => ctx.rand(&out, *rows, *cols, *min, *max, *seed)?,
-            OpKind::MatMul => ctx.matmul(&out, &ins[0], &ins[1])?,
-            OpKind::Tsmm => ctx.tsmm(&out, &ins[0])?,
-            OpKind::Xty => ctx.xty(&out, &ins[0], &ins[1])?,
-            OpKind::Transpose => ctx.transpose(&out, &ins[0])?,
-            OpKind::Solve => ctx.solve(&out, &ins[0], &ins[1])?,
-            OpKind::Binary(op) => ctx.binary(&out, &ins[0], &ins[1], *op)?,
-            OpKind::BinaryScalar { op, scalar, swap } => match scalar {
-                ScalarRef::Const(c) => ctx.binary_const(&out, &ins[0], *c, *op, *swap)?,
-                ScalarRef::Loop(v) => {
-                    if !ctx.has(v) {
-                        return Err(EngineError::UnknownVar(v.clone()));
-                    }
-                    if *swap {
-                        ctx.binary(&out, v, &ins[0], *op)?
-                    } else {
-                        ctx.binary(&out, &ins[0], v, *op)?
-                    }
-                }
-            },
-            OpKind::Unary(op) => ctx.unary(&out, &ins[0], *op)?,
-            OpKind::Agg(op, dir) => ctx.agg(&out, &ins[0], *op, *dir)?,
-            OpKind::Literal(v) => ctx.literal(&out, *v)?,
-            OpKind::Alias => {
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
-            OpKind::SliceRows { start, end } => ctx.slice_rows(&out, &ins[0], *start, *end)?,
-            OpKind::SliceCols { start, end } => ctx.slice_cols(&out, &ins[0], *start, *end)?,
-            OpKind::Conv2d(p) => ctx.conv2d(&out, &ins[0], &ins[1], *p)?,
-            OpKind::MaxPool2d(p) => ctx.max_pool2d(&out, &ins[0], *p)?,
-            OpKind::Affine => ctx.affine(&out, &ins[0], &ins[1], &ins[2])?,
-            OpKind::Checkpoint => {
-                ctx.checkpoint(&ins[0])?;
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
-            OpKind::Prefetch => {
-                ctx.prefetch(&ins[0])?;
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
-            OpKind::Broadcast => {
-                ctx.broadcast(&ins[0])?;
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
-            OpKind::Evict(fraction) => ctx.evict_gpu(*fraction),
-        }
+        let ins: Vec<&str> = ins.iter().map(String::as_str).collect();
+        ctx.apply(&out, &node.kind, &ins)?;
         // Additional output bindings from CSE merges.
         for alias in node.outputs.iter().skip(1) {
             ctx.assign(alias, &out)?;
@@ -180,7 +122,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ops::AggDir;
-    use crate::plan::BlockHints;
+    use crate::plan::{BlockHints, OpKind, ScalarRef};
     use memphis_matrix::ops::agg::AggOp;
     use memphis_matrix::ops::binary::BinaryOp;
     use memphis_matrix::rand_gen::rand_uniform;

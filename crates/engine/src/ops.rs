@@ -11,6 +11,7 @@
 
 use crate::context::{EngineError, ExecutionContext, Result};
 use crate::cost;
+use crate::plan::{OpKind, ScalarRef};
 use crate::value::Value;
 use memphis_matrix::ops::agg::{self, AggOp};
 use memphis_matrix::ops::binary::{self, BinaryOp};
@@ -52,9 +53,83 @@ pub(crate) fn row_blocked(m: &Matrix, blen: usize) -> Vec<Record> {
 }
 
 impl ExecutionContext {
+    /// Executes one planner operator writing `out` from the operand
+    /// variables `ins` (in operator order): the interpreter's dispatch and
+    /// the RECOMPUTE replay path.
+    pub fn apply(&mut self, out: &str, kind: &OpKind, ins: &[&str]) -> Result<()> {
+        // Pass-through operators rebind their input under the output name.
+        let alias = |ctx: &mut Self| {
+            if out != ins[0] {
+                ctx.assign(out, ins[0])?;
+            }
+            Ok(())
+        };
+        match kind {
+            OpKind::Rand {
+                rows,
+                cols,
+                min,
+                max,
+                seed,
+            } => self.rand(out, *rows, *cols, *min, *max, *seed),
+            OpKind::Seq { from, to, incr } => self.seq(out, *from, *to, *incr),
+            OpKind::MatMul => self.matmul(out, ins[0], ins[1]),
+            OpKind::Tsmm => self.tsmm(out, ins[0]),
+            OpKind::Xty => self.xty(out, ins[0], ins[1]),
+            OpKind::Transpose => self.transpose(out, ins[0]),
+            OpKind::Solve => self.solve(out, ins[0], ins[1]),
+            OpKind::Binary(op) => self.binary(out, ins[0], ins[1], *op),
+            OpKind::BinaryScalar { op, scalar, swap } => match scalar {
+                ScalarRef::Const(c) => self.binary_const(out, ins[0], *c, *op, *swap),
+                ScalarRef::Loop(v) if !self.has(v) => Err(EngineError::UnknownVar(v.clone())),
+                ScalarRef::Loop(v) if *swap => self.binary(out, v, ins[0], *op),
+                ScalarRef::Loop(v) => self.binary(out, ins[0], v, *op),
+            },
+            OpKind::Unary(op) => self.unary(out, ins[0], *op),
+            OpKind::Agg(op, dir) => self.agg(out, ins[0], *op, *dir),
+            OpKind::Literal(v) => self.literal(out, *v),
+            OpKind::Alias => alias(self),
+            OpKind::SliceRows { start, end } => self.slice_rows(out, ins[0], *start, *end),
+            OpKind::SliceCols { start, end } => self.slice_cols(out, ins[0], *start, *end),
+            OpKind::Rbind => self.rbind(out, ins[0], ins[1]),
+            OpKind::Cbind => self.cbind(out, ins[0], ins[1]),
+            OpKind::SelectRows => self.select_rows(out, ins[0], ins[1]),
+            OpKind::Conv2d(p) => self.conv2d(out, ins[0], ins[1], *p),
+            OpKind::MaxPool2d(p) => self.max_pool2d(out, ins[0], *p),
+            OpKind::Affine => self.affine(out, ins[0], ins[1], ins[2]),
+            OpKind::Softmax => self.softmax(out, ins[0]),
+            OpKind::Dropout { rate, seed } => self.dropout(out, ins[0], *rate, *seed),
+            OpKind::Checkpoint => {
+                self.checkpoint(ins[0])?;
+                alias(self)
+            }
+            OpKind::Prefetch => {
+                self.prefetch(ins[0])?;
+                alias(self)
+            }
+            OpKind::Broadcast => {
+                self.broadcast(ins[0])?;
+                alias(self)
+            }
+            OpKind::Evict(fraction) => {
+                self.evict_gpu(*fraction);
+                Ok(())
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Data binding (sources)
     // ------------------------------------------------------------------
+
+    /// Traces `var` as the leaf `name` when this mode traces lineage.
+    fn trace_leaf(&mut self, var: &str, name: &str) -> Option<memphis_core::lineage::LItem> {
+        if self.cfg.reuse.traces() {
+            Some(self.lineage.set_leaf(var, name))
+        } else {
+            None
+        }
+    }
 
     /// Binds an input dataset, placing it on Spark when it exceeds the
     /// operation-memory threshold. `name` uniquely identifies the data in
@@ -63,11 +138,7 @@ impl ExecutionContext {
         if m.size_bytes() > self.cfg.spark_threshold_bytes && self.sc.is_some() {
             return self.read_distributed(var, m, name);
         }
-        let item = if self.cfg.reuse.traces() {
-            Some(self.lineage.set_leaf(var, name))
-        } else {
-            None
-        };
+        let item = self.trace_leaf(var, name);
         let c = m.len() as f64;
         self.bind(var, Value::Matrix(m), item, c);
         Ok(())
@@ -75,41 +146,17 @@ impl ExecutionContext {
 
     /// Binds an input dataset as a distributed row-blocked RDD.
     pub fn read_distributed(&mut self, var: &str, m: Matrix, name: &str) -> Result<()> {
-        let sc = self
-            .sc
-            .as_ref()
-            .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?
-            .clone();
-        let (rows, cols) = m.shape();
-        let blen = self.cfg.blen;
-        let rdd = sc.parallelize(row_blocked(&m, blen), sc.config().default_parallelism, name);
-        let item = if self.cfg.reuse.traces() {
-            Some(self.lineage.set_leaf(var, name))
-        } else {
-            None
-        };
-        self.bind(
-            var,
-            Value::Rdd {
-                rdd,
-                rows,
-                cols,
-                blen,
-            },
-            item,
-            (rows * cols) as f64,
-        );
+        let cells = m.len() as f64;
+        let rdd = self.matrix_to_rdd_value(m, name)?;
+        let item = self.trace_leaf(var, name);
+        self.bind(var, rdd, item, cells);
         Ok(())
     }
 
     /// Binds a scalar literal. Equal values yield equal lineage, enabling
     /// reuse across calls with repeated hyper-parameters.
     pub fn literal(&mut self, var: &str, v: f64) -> Result<()> {
-        let item = if self.cfg.reuse.traces() {
-            Some(self.lineage.set_leaf(var, &format!("scalar:{v}")))
-        } else {
-            None
-        };
+        let item = self.trace_leaf(var, &format!("scalar:{v}"));
         self.bind(var, Value::Scalar(v), item, 1.0);
         Ok(())
     }
@@ -125,18 +172,18 @@ impl ExecutionContext {
         max: f64,
         seed: u64,
     ) -> Result<()> {
-        let data = vec![
-            rows.to_string(),
-            cols.to_string(),
-            min.to_string(),
-            max.to_string(),
-            seed.to_string(),
-        ];
+        let kind = OpKind::Rand {
+            rows,
+            cols,
+            min,
+            max,
+            seed,
+        };
+        let c = kind.flops(rows, 1, cols);
         let threshold = self.cfg.spark_threshold_bytes;
         let has_sc = self.sc.is_some();
-        self.exec_instr(out, "rand", data, &[], move |ctx| {
+        self.exec_op(out, &kind, &[], move |ctx| {
             let m = rand_gen::rand_uniform(rows, cols, min, max, seed);
-            let c = cost::flops("rand", rows, 1, cols);
             if m.size_bytes() > threshold && has_sc {
                 let v = ctx.matrix_to_rdd_value(m, "rand")?;
                 Ok((v, c))
@@ -148,20 +195,16 @@ impl ExecutionContext {
 
     /// Sequence column vector (DML `seq`).
     pub fn seq(&mut self, out: &str, from: f64, to: f64, incr: f64) -> Result<()> {
-        let data = vec![from.to_string(), to.to_string(), incr.to_string()];
-        self.exec_instr(out, "seq", data, &[], move |_| {
+        let kind = OpKind::Seq { from, to, incr };
+        self.exec_op(out, &kind, &[], |_| {
             let m = Matrix::seq(from, to, incr);
-            let c = m.len() as f64;
+            let c = kind.flops(m.rows(), 1, m.cols());
             Ok((Value::Matrix(m), c))
         })
     }
 
     pub(crate) fn matrix_to_rdd_value(&mut self, m: Matrix, name: &str) -> Result<Value> {
-        let sc = self
-            .sc
-            .as_ref()
-            .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?
-            .clone();
+        let sc = self.require_spark()?.clone();
         let (rows, cols) = m.shape();
         let blen = self.cfg.blen;
         let rdd = sc.parallelize(row_blocked(&m, blen), sc.config().default_parallelism, name);
@@ -254,62 +297,18 @@ impl ExecutionContext {
         let v = self.resolve(var)?;
         match v {
             // Re-broadcast if lazy GC destroyed the previous copy.
-            Value::Broadcast { bc, local } => {
-                if bc.is_destroyed() {
-                    let sc = self
-                        .sc
-                        .as_ref()
-                        .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?;
-                    let nbc = sc.broadcast(local.clone());
-                    let b = self.binding(var)?.clone();
-                    self.bind(
-                        var,
-                        Value::Broadcast {
-                            bc: nbc.clone(),
-                            local,
-                        },
-                        b.lineage,
-                        b.cost,
-                    );
-                    Ok(nbc)
-                } else {
-                    Ok(bc)
-                }
+            Value::Broadcast { bc, local } if bc.is_destroyed() => self.rebroadcast(var, local),
+            Value::Broadcast { bc, .. } => Ok(bc),
+            Value::Matrix(m) => {
+                let _span = memphis_obs::span(memphis_obs::cat::ASYNC, "broadcast");
+                self.rebroadcast(var, m)
             }
-            Value::Matrix(_) => {
-                self.broadcast(var)?;
-                match self.binding(var)?.value.clone() {
-                    Value::Broadcast { bc, .. } => Ok(bc),
-                    _ => unreachable!("broadcast() rebinds to Broadcast"),
-                }
-            }
-            Value::Scalar(s) => {
-                let sc = self
-                    .sc
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?;
-                Ok(sc.broadcast(Matrix::scalar(s)))
-            }
+            Value::Scalar(s) => Ok(self.require_spark()?.broadcast(Matrix::scalar(s))),
+            // Broadcasting a distributed operand requires collecting it to
+            // the driver first (it must be small enough).
             Value::Rdd { .. } => {
-                // Broadcasting a distributed operand requires collecting it
-                // to the driver first (it must be small enough).
                 let m = self.get_matrix(var)?;
-                let b = self.binding(var)?.clone();
-                let sc = self
-                    .sc
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no Spark backend".into()))?;
-                let bc = sc.broadcast(m.clone());
-                self.bind(
-                    var,
-                    Value::Broadcast {
-                        bc: bc.clone(),
-                        local: m,
-                    },
-                    b.lineage,
-                    b.cost,
-                );
-                Ok(bc)
+                self.rebroadcast(var, m)
             }
             _ => Err(EngineError::Unsupported(format!(
                 "{var} cannot be broadcast from backend {}",
@@ -318,14 +317,97 @@ impl ExecutionContext {
         }
     }
 
+    /// Broadcasts the driver-local `local` and rebinds `var` to the handle.
+    pub(crate) fn rebroadcast(
+        &mut self,
+        var: &str,
+        local: Matrix,
+    ) -> Result<memphis_sparksim::BroadcastRef> {
+        let bc = self.require_spark()?.broadcast(local.clone());
+        let b = self.binding(var)?.clone();
+        let value = Value::Broadcast {
+            bc: bc.clone(),
+            local,
+        };
+        self.bind(var, value, b.lineage, b.cost);
+        Ok(bc)
+    }
+
     fn note_job_for(&self, var: &str) {
         if let Some(item) = self.lineage_of(var) {
             self.cache.note_job(&item);
         }
     }
 
+    /// Resolves `var` (waiting on a future) and returns its value and
+    /// shape.
+    fn resolved(&mut self, var: &str) -> Result<(Value, (usize, usize))> {
+        let v = self.resolve(var)?;
+        let shape = v
+            .shape()
+            .ok_or_else(|| EngineError::Unsupported(format!("{var} has no shape")))?;
+        Ok((v, shape))
+    }
+
+    /// A dense instruction over resolved operands `ins`: `kernel` runs as
+    /// a device kernel when `gpu` gives the output shape, and on the
+    /// driver otherwise.
+    fn dense_op<K>(
+        &mut self,
+        out: &str,
+        kind: &OpKind,
+        ins: &[&str],
+        op_cost: f64,
+        gpu: Option<(usize, usize)>,
+        kernel: K,
+    ) -> Result<()>
+    where
+        K: FnOnce(&[&Matrix]) -> memphis_matrix::Result<Matrix> + Send + 'static,
+    {
+        self.exec_op(out, kind, ins, move |ctx| {
+            ctx.dense_exec(ins, op_cost, gpu, kernel)
+        })
+    }
+
+    /// The body of [`ExecutionContext::dense_op`], for instructions that
+    /// pick a Spark plan first.
+    fn dense_exec<K>(
+        &mut self,
+        ins: &[&str],
+        op_cost: f64,
+        gpu: Option<(usize, usize)>,
+        kernel: K,
+    ) -> Result<(Value, f64)>
+    where
+        K: FnOnce(&[&Matrix]) -> memphis_matrix::Result<Matrix> + Send + 'static,
+    {
+        match gpu {
+            Some((rows, cols)) => self.gpu_exec(ins, rows, cols, op_cost, move |ms| {
+                kernel(ms).expect("dims")
+            }),
+            None => {
+                let ms = ins
+                    .iter()
+                    .map(|v| self.local_input(v))
+                    .collect::<Result<Vec<_>>>()?;
+                let ms: Vec<&Matrix> = ms.iter().collect();
+                Ok((Value::Matrix(kernel(&ms)?), op_cost))
+            }
+        }
+    }
+
+    /// [`ExecutionContext::exec_instr`] for a builtin operator, traced
+    /// under its operator-table lineage encoding.
+    fn exec_op<F>(&mut self, out: &str, kind: &OpKind, inputs: &[&str], compute: F) -> Result<()>
+    where
+        F: FnOnce(&mut Self) -> Result<(Value, f64)>,
+    {
+        let (opcode, data) = kind.lineage().expect("builtin instructions trace lineage");
+        self.exec_instr(out, &opcode, data, inputs, compute)
+    }
+
     /// True when the op should run on the GPU.
-    fn gpu_target(&self, opcode: &str, inputs: &[&Value], out_cells: usize) -> bool {
+    fn gpu_target(&self, kind: &OpKind, inputs: &[&Value], out_cells: usize) -> bool {
         if self.gpu.is_none() {
             return false;
         }
@@ -334,7 +416,7 @@ impl ExecutionContext {
         if any_rdd {
             return false;
         }
-        any_gpu || (cost::is_compute_intensive(opcode) && out_cells >= self.cfg.gpu_min_cells)
+        any_gpu || (kind.gpu_eligible() && out_cells >= self.cfg.gpu_min_cells)
     }
 
     // ------------------------------------------------------------------
@@ -348,11 +430,7 @@ impl ExecutionContext {
         match b.value {
             Value::Gpu { ptr, .. } => Ok(ptr),
             Value::Matrix(m) => {
-                let device = self
-                    .gpu
-                    .as_ref()
-                    .ok_or_else(|| EngineError::Unsupported("no GPU backend".into()))?
-                    .clone();
+                let device = self.require_gpu()?.clone();
                 let (rows, cols) = m.shape();
                 let height = b.lineage.as_ref().map(|l| l.height).unwrap_or(1);
                 let alloc = if self.cfg.gpu_recycling {
@@ -394,11 +472,7 @@ impl ExecutionContext {
             .iter()
             .map(|v| self.ensure_on_gpu(v))
             .collect::<Result<_>>()?;
-        let device = self
-            .gpu
-            .as_ref()
-            .ok_or_else(|| EngineError::Unsupported("no GPU backend".into()))?
-            .clone();
+        let device = self.require_gpu()?.clone();
         let bytes = cost::dense_bytes(out_rows, out_cols).max(8);
         let alloc = if self.cfg.gpu_recycling {
             self.cache.gpu_request(bytes, 1, op_cost)?
@@ -431,15 +505,13 @@ impl ExecutionContext {
     /// the driver (the action of Example 4.1: the second transpose of
     /// `(y^T X)^T` collects `b`).
     pub fn transpose(&mut self, out: &str, x: &str) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("transpose of unresolved future".into()))?;
-        let use_gpu = self.gpu_target("r'", &[&xv], r * c);
+        let (xv, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Transpose;
+        let on_gpu = matches!(xv, Value::Gpu { .. }) && self.gpu_target(&kind, &[&xv], r * c);
+        let gpu = on_gpu.then_some((c, r));
+        let op_cost = kind.flops(r, 1, c);
         let xn = x.to_string();
-        self.exec_instr(out, "r'", vec![], &[x], move |ctx| {
-            let op_cost = cost::flops("r'", r, 1, c);
+        self.exec_op(out, &kind, &[x], move |ctx| {
             match ctx.binding(&xn)?.value.clone() {
                 Value::Rdd { .. } => {
                     // Collect-and-transpose (small results only).
@@ -447,13 +519,8 @@ impl ExecutionContext {
                     ctx.note_job_for(&xn);
                     Ok((Value::Matrix(reorg::transpose(&m)), op_cost))
                 }
-                Value::Gpu { .. } if use_gpu => {
-                    ctx.gpu_exec(&[&xn], c, r, op_cost, |ms| reorg::transpose(ms[0]))
-                }
-                _ => {
-                    let m = ctx.local_input(&xn)?;
-                    Ok((Value::Matrix(reorg::transpose(&m)), op_cost))
-                }
+                // Device inputs stay on the device.
+                _ => ctx.dense_exec(&[&xn], op_cost, gpu, |m| Ok(reorg::transpose(m[0]))),
             }
         })
     }
@@ -465,16 +532,8 @@ impl ExecutionContext {
     /// row-vector × `b` distributed → broadcast `y^T X` with a `reduce`
     /// action collecting the result to the driver.
     pub fn matmul(&mut self, out: &str, a: &str, b: &str) -> Result<()> {
-        self.resolve(a)?;
-        self.resolve(b)?;
-        let av = self.binding(a)?.value.clone();
-        let bv = self.binding(b)?.value.clone();
-        let (am, ak) = av
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let (bk, bn) = bv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
+        let (av, (am, ak)) = self.resolved(a)?;
+        let (bv, (bk, bn)) = self.resolved(b)?;
         if ak != bk {
             return Err(EngineError::Matrix(
                 memphis_matrix::MatrixError::DimensionMismatch {
@@ -484,10 +543,11 @@ impl ExecutionContext {
                 },
             ));
         }
-        let op_cost = cost::flops("ba+*", am, ak, bn);
-        let use_gpu = self.gpu_target("ba+*", &[&av, &bv], am * bn);
+        let kind = OpKind::MatMul;
+        let op_cost = kind.flops(am, ak, bn);
+        let use_gpu = self.gpu_target(&kind, &[&av, &bv], am * bn);
         let (an, bn_name) = (a.to_string(), b.to_string());
-        self.exec_instr(out, "ba+*", vec![], &[a, b], move |ctx| {
+        self.exec_op(out, &kind, &[a, b], move |ctx| {
             let av = ctx.binding(&an)?.value.clone();
             match av {
                 // Distributed X %*% local W  → mapmm, result stays distributed.
@@ -565,15 +625,12 @@ impl ExecutionContext {
     /// Transpose-self multiply `t(X) %*% X` — distributed inputs use the
     /// per-block `tsmm` + `reduce()` action pattern of §4.1.
     pub fn tsmm(&mut self, out: &str, x: &str) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops("tsmm", r, 1, c);
-        let use_gpu = self.gpu_target("tsmm", &[&xv], c * c);
+        let (xv, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Tsmm;
+        let op_cost = kind.flops(r, 1, c);
+        let use_gpu = self.gpu_target(&kind, &[&xv], c * c);
         let xn = x.to_string();
-        self.exec_instr(out, "tsmm", vec![], &[x], move |ctx| {
+        self.exec_op(out, &kind, &[x], move |ctx| {
             match ctx.binding(&xn)?.value.clone() {
                 Value::Rdd { .. } => {
                     let (rdd, _r, _c, _blen) = ctx.rdd_input(&xn)?;
@@ -599,13 +656,9 @@ impl ExecutionContext {
                         op_cost,
                     )
                 }
-                _ if use_gpu => ctx.gpu_exec(&[&xn], c, c, op_cost, |ms| {
-                    mm::tsmm(ms[0]).expect("non-empty")
+                _ => ctx.dense_exec(&[&xn], op_cost, use_gpu.then_some((c, c)), |m| {
+                    mm::tsmm(m[0])
                 }),
-                _ => {
-                    let m = ctx.local_input(&xn)?;
-                    Ok((Value::Matrix(mm::tsmm(&m)?), op_cost))
-                }
             }
         })
     }
@@ -613,20 +666,13 @@ impl ExecutionContext {
     /// `t(X) %*% y` — distributed X broadcasts `y` and reduces to the
     /// driver (action); local X computes directly.
     pub fn xty(&mut self, out: &str, x: &str, y: &str) -> Result<()> {
-        self.resolve(x)?;
-        self.resolve(y)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let yv = self.binding(y)?.value.clone();
-        let (_yr, yc) = yv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops("ba+*", c, r, yc);
-        let use_gpu = self.gpu_target("ba+*", &[&xv, &yv], c * yc);
+        let (xv, (r, c)) = self.resolved(x)?;
+        let (yv, (_, yc)) = self.resolved(y)?;
+        let kind = OpKind::Xty;
+        let op_cost = kind.flops(c, r, yc);
+        let use_gpu = self.gpu_target(&kind, &[&xv, &yv], c * yc);
         let (xn, yn) = (x.to_string(), y.to_string());
-        self.exec_instr(out, "tmm-y", vec![], &[x, y], move |ctx| {
+        self.exec_op(out, &kind, &[x, y], move |ctx| {
             match ctx.binding(&xn)?.value.clone() {
                 // Both distributed and co-partitioned: per-block t(Xb) Yb
                 // products combined with a reduce action (no collect of y).
@@ -697,17 +743,9 @@ impl ExecutionContext {
                         op_cost,
                     )
                 }
-                _ if use_gpu => ctx.gpu_exec(&[&xn, &yn], c, yc, op_cost, |ms| {
-                    mm::matmul(&reorg::transpose(ms[0]), ms[1]).expect("dims")
+                _ => ctx.dense_exec(&[&xn, &yn], op_cost, use_gpu.then_some((c, yc)), |m| {
+                    mm::matmul(&reorg::transpose(m[0]), m[1])
                 }),
-                _ => {
-                    let mx = ctx.local_input(&xn)?;
-                    let my = ctx.local_input(&yn)?;
-                    Ok((
-                        Value::Matrix(mm::matmul(&reorg::transpose(&mx), &my)?),
-                        op_cost,
-                    ))
-                }
             }
         })
     }
@@ -715,21 +753,14 @@ impl ExecutionContext {
     /// Elementwise binary op with DML broadcasting (matrix/vector/scalar
     /// operands). Distributed inputs stay distributed.
     pub fn binary(&mut self, out: &str, a: &str, b: &str, op: BinaryOp) -> Result<()> {
-        self.resolve(a)?;
-        self.resolve(b)?;
-        let av = self.binding(a)?.value.clone();
-        let bv = self.binding(b)?.value.clone();
-        let (ar, ac) = av
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let (br, bc_) = bv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
+        let (av, (ar, ac)) = self.resolved(a)?;
+        let (bv, (br, bc_)) = self.resolved(b)?;
         let (or_, oc) = (ar.max(br), ac.max(bc_));
-        let op_cost = cost::flops(op.opcode(), or_, 1, oc);
-        let use_gpu = self.gpu_target(op.opcode(), &[&av, &bv], or_ * oc);
+        let kind = OpKind::Binary(op);
+        let op_cost = kind.flops(or_, 1, oc);
+        let use_gpu = self.gpu_target(&kind, &[&av, &bv], or_ * oc);
         let (an, bn) = (a.to_string(), b.to_string());
-        self.exec_instr(out, op.opcode(), vec![], &[a, b], move |ctx| {
+        self.exec_op(out, &kind, &[a, b], move |ctx| {
             let av = ctx.binding(&an)?.value.clone();
             let bv = ctx.binding(&bn)?.value.clone();
             match (&av, &bv) {
@@ -753,39 +784,42 @@ impl ExecutionContext {
                         op_cost,
                     ))
                 }
-                (Value::Rdd { .. }, _) => {
-                    let (ra, rows, cols, blen) = ctx.rdd_input(&an)?;
+                // One distributed side: the local side rides along as a
+                // scalar or a broadcast, its rows sliced per block for
+                // column vectors and same-shape matrices.
+                (Value::Rdd { .. }, other) | (other, Value::Rdd { .. }) => {
+                    let rdd_left = matches!(av, Value::Rdd { .. });
+                    let (rdd_var, local_var, (lr, lc)) = if rdd_left {
+                        (&an, &bn, (br, bc_))
+                    } else {
+                        (&bn, &an, (ar, ac))
+                    };
+                    let (rdd, rows, cols, blen) = ctx.rdd_input(rdd_var)?;
                     let sc = ctx.spark().expect("rdd implies spark").clone();
-                    let mapped = match &bv {
-                        Value::Scalar(s) => {
-                            let s = *s;
-                            sc.map(
-                                &ra,
-                                op.opcode(),
-                                Arc::new(move |k, x| (*k, binary::binary_scalar(x, s, op, false))),
-                            )
-                        }
-                        _ => {
-                            // Local matrix/vector operand: broadcast; slice
-                            // rows per block for column vectors and for
-                            // full same-shape matrices.
-                            let bcv = ctx.bc_input(&bn)?;
-                            let row_sliced = br == rows && rows > 1 && (bc_ == 1 || bc_ == cols);
-                            sc.map_with_broadcast(
-                                &ra,
-                                op.opcode(),
-                                &bcv,
-                                Arc::new(move |k, x, w| {
-                                    let rhs = if row_sliced {
-                                        reorg::slice_rows(w, k.row * blen, k.row * blen + x.rows())
-                                            .expect("in bounds")
-                                    } else {
-                                        w.clone()
-                                    };
-                                    (*k, binary::binary(x, &rhs, op).expect("dims"))
-                                }),
-                            )
-                        }
+                    let mapped = if let Value::Scalar(s) = *other {
+                        sc.map(
+                            &rdd,
+                            op.opcode(),
+                            Arc::new(move |k, x| (*k, binary::binary_scalar(x, s, op, !rdd_left))),
+                        )
+                    } else {
+                        let bcv = ctx.bc_input(local_var)?;
+                        let row_sliced = lr == rows && rows > 1 && (lc == 1 || lc == cols);
+                        sc.map_with_broadcast(
+                            &rdd,
+                            op.opcode(),
+                            &bcv,
+                            Arc::new(move |k, x, w| {
+                                let w = if row_sliced {
+                                    reorg::slice_rows(w, k.row * blen, k.row * blen + x.rows())
+                                        .expect("in bounds")
+                                } else {
+                                    w.clone()
+                                };
+                                let (lhs, rhs) = if rdd_left { (x, &w) } else { (&w, x) };
+                                (*k, binary::binary(lhs, rhs, op).expect("dims"))
+                            }),
+                        )
                     };
                     Ok((
                         Value::Rdd {
@@ -797,60 +831,13 @@ impl ExecutionContext {
                         op_cost,
                     ))
                 }
-                (_, Value::Rdd { .. }) => {
-                    let (rb, rows, cols, blen) = ctx.rdd_input(&bn)?;
-                    let sc = ctx.spark().expect("rdd implies spark").clone();
-                    let mapped = match &av {
-                        Value::Scalar(s) => {
-                            let s = *s;
-                            sc.map(
-                                &rb,
-                                op.opcode(),
-                                Arc::new(move |k, x| (*k, binary::binary_scalar(x, s, op, true))),
-                            )
-                        }
-                        _ => {
-                            // Local matrix/vector on the left: broadcast
-                            // it, slicing rows per block when shapes align.
-                            let bca = ctx.bc_input(&an)?;
-                            let row_sliced = ar == rows && rows > 1 && (ac == 1 || ac == cols);
-                            sc.map_with_broadcast(
-                                &rb,
-                                op.opcode(),
-                                &bca,
-                                Arc::new(move |k, x, w| {
-                                    let lhs = if row_sliced {
-                                        reorg::slice_rows(w, k.row * blen, k.row * blen + x.rows())
-                                            .expect("in bounds")
-                                    } else {
-                                        w.clone()
-                                    };
-                                    (*k, binary::binary(&lhs, x, op).expect("dims"))
-                                }),
-                            )
-                        }
-                    };
-                    Ok((
-                        Value::Rdd {
-                            rdd: mapped,
-                            rows,
-                            cols,
-                            blen,
-                        },
-                        op_cost,
-                    ))
-                }
-                _ if use_gpu => {
-                    // Scalars become 1x1 device matrices via upload.
-                    ctx.gpu_exec(&[&an, &bn], or_, oc, op_cost, move |ms| {
-                        binary::binary(ms[0], ms[1], op).expect("dims")
-                    })
-                }
-                _ => {
-                    let ma = ctx.local_input(&an)?;
-                    let mb = ctx.local_input(&bn)?;
-                    Ok((Value::Matrix(binary::binary(&ma, &mb, op)?), op_cost))
-                }
+                // On the device, scalars become 1x1 matrices via upload.
+                _ => ctx.dense_exec(
+                    &[&an, &bn],
+                    op_cost,
+                    use_gpu.then_some((or_, oc)),
+                    move |m| binary::binary(m[0], m[1], op),
+                ),
             }
         })
     }
@@ -865,16 +852,16 @@ impl ExecutionContext {
         op: BinaryOp,
         scalar_on_left: bool,
     ) -> Result<()> {
-        self.resolve(a)?;
-        let av = self.binding(a)?.value.clone();
-        let (ar, ac) = av
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops(op.opcode(), ar, 1, ac);
-        let use_gpu = self.gpu_target(op.opcode(), &[&av], ar * ac);
+        let (av, (ar, ac)) = self.resolved(a)?;
+        let kind = OpKind::BinaryScalar {
+            op,
+            scalar: ScalarRef::Const(c),
+            swap: scalar_on_left,
+        };
+        let op_cost = kind.flops(ar, 1, ac);
+        let use_gpu = self.gpu_target(&kind, &[&av], ar * ac);
         let an = a.to_string();
-        let data = vec![c.to_string(), scalar_on_left.to_string()];
-        self.exec_instr(out, op.opcode(), data, &[a], move |ctx| {
+        self.exec_op(out, &kind, &[a], move |ctx| {
             match ctx.binding(&an)?.value.clone() {
                 Value::Rdd { .. } => {
                     let (ra, rows, cols, blen) = ctx.rdd_input(&an)?;
@@ -894,31 +881,21 @@ impl ExecutionContext {
                         op_cost,
                     ))
                 }
-                _ if use_gpu => ctx.gpu_exec(&[&an], ar, ac, op_cost, move |ms| {
-                    binary::binary_scalar(ms[0], c, op, scalar_on_left)
+                _ => ctx.dense_exec(&[&an], op_cost, use_gpu.then_some((ar, ac)), move |m| {
+                    Ok(binary::binary_scalar(m[0], c, op, scalar_on_left))
                 }),
-                _ => {
-                    let m = ctx.local_input(&an)?;
-                    Ok((
-                        Value::Matrix(binary::binary_scalar(&m, c, op, scalar_on_left)),
-                        op_cost,
-                    ))
-                }
             }
         })
     }
 
     /// Elementwise unary op.
     pub fn unary(&mut self, out: &str, x: &str, op: UnaryOp) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops(op.opcode(), r, 1, c);
-        let use_gpu = self.gpu_target(op.opcode(), &[&xv], r * c);
+        let (xv, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Unary(op);
+        let op_cost = kind.flops(r, 1, c);
+        let use_gpu = self.gpu_target(&kind, &[&xv], r * c);
         let xn = x.to_string();
-        self.exec_instr(out, op.opcode(), vec![], &[x], move |ctx| {
+        self.exec_op(out, &kind, &[x], move |ctx| {
             match ctx.binding(&xn)?.value.clone() {
                 Value::Rdd { .. } => {
                     let (rx, rows, cols, blen) = ctx.rdd_input(&xn)?;
@@ -938,13 +915,9 @@ impl ExecutionContext {
                         op_cost,
                     ))
                 }
-                _ if use_gpu => {
-                    ctx.gpu_exec(&[&xn], r, c, op_cost, move |ms| unary::unary(ms[0], op))
-                }
-                _ => {
-                    let m = ctx.local_input(&xn)?;
-                    Ok((Value::Matrix(unary::unary(&m, op)), op_cost))
-                }
+                _ => ctx.dense_exec(&[&xn], op_cost, use_gpu.then_some((r, c)), move |m| {
+                    Ok(unary::unary(m[0], op))
+                }),
             }
         })
     }
@@ -952,31 +925,16 @@ impl ExecutionContext {
     /// Aggregation: full (scalar output via `reduce` action on Spark),
     /// row-wise (stays distributed), or column-wise (action to driver).
     pub fn agg(&mut self, out: &str, x: &str, op: AggOp, dir: AggDir) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops(op.opcode(), r, 1, c);
+        let (_, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Agg(op, dir);
+        let op_cost = kind.flops(r, 1, c);
         let xn = x.to_string();
-        let opcode = format!(
-            "ua{}{}",
-            match dir {
-                AggDir::Full => "",
-                AggDir::Row => "r",
-                AggDir::Col => "c",
-            },
-            op.opcode()
-        );
-        self.exec_instr(out, &opcode, vec![], &[x], move |ctx| {
+        self.exec_op(out, &kind, &[x], move |ctx| {
             match ctx.binding(&xn)?.value.clone() {
                 Value::Rdd { .. } => ctx.spark_agg(&xn, op, dir, r, c, op_cost),
-                Value::Gpu { .. } => {
-                    // Compute on host after a D2H copy (aggregations are
-                    // cheap; SystemDS also returns scalars to the host).
-                    let m = ctx.local_input(&xn)?;
-                    agg_local(&m, op, dir, op_cost)
-                }
+                // Device inputs are aggregated on the host after a D2H
+                // copy (aggregations are cheap; SystemDS also returns
+                // scalars to the host).
                 _ => {
                     let m = ctx.local_input(&xn)?;
                     agg_local(&m, op, dir, op_cost)
@@ -996,21 +954,21 @@ impl ExecutionContext {
     ) -> Result<(Value, f64)> {
         let (rx, _rows, _cols, blen) = self.rdd_input(xn)?;
         let sc = self.spark().expect("rdd implies spark").clone();
+        // Partial means are sums, divided once after the reduce; partials
+        // combine by min, max, or sum.
+        let part_op = match op {
+            AggOp::Mean => AggOp::Sum,
+            other => other,
+        };
+        let combine_op = match op {
+            AggOp::Min => BinaryOp::Min,
+            AggOp::Max => BinaryOp::Max,
+            _ => BinaryOp::Add,
+        };
+        let combine: memphis_sparksim::rdd::CombineFn =
+            Arc::new(move |a, b| binary::binary(&a, &b, combine_op).expect("dims"));
         match dir {
             AggDir::Full => {
-                let combine: memphis_sparksim::rdd::CombineFn = match op {
-                    AggOp::Min => {
-                        Arc::new(|a: Matrix, b: Matrix| Matrix::scalar(a.at(0, 0).min(b.at(0, 0))))
-                    }
-                    AggOp::Max => {
-                        Arc::new(|a: Matrix, b: Matrix| Matrix::scalar(a.at(0, 0).max(b.at(0, 0))))
-                    }
-                    _ => Arc::new(|a: Matrix, b: Matrix| Matrix::scalar(a.at(0, 0) + b.at(0, 0))),
-                };
-                let part_op = match op {
-                    AggOp::Mean => AggOp::Sum,
-                    other => other,
-                };
                 let partial = sc.map(
                     &rx,
                     "agg-part",
@@ -1032,19 +990,6 @@ impl ExecutionContext {
                 Ok((Value::Scalar(v), op_cost))
             }
             AggDir::Col => {
-                let part_op = match op {
-                    AggOp::Mean => AggOp::Sum,
-                    other => other,
-                };
-                let combine: memphis_sparksim::rdd::CombineFn = match op {
-                    AggOp::Min => {
-                        Arc::new(|a, b| binary::binary(&a, &b, BinaryOp::Min).expect("dims"))
-                    }
-                    AggOp::Max => {
-                        Arc::new(|a, b| binary::binary(&a, &b, BinaryOp::Max).expect("dims"))
-                    }
-                    _ => Arc::new(|a, b| binary::binary(&a, &b, BinaryOp::Add).expect("dims")),
-                };
                 let partial = sc.map(
                     &rx,
                     "colagg-part",
@@ -1087,83 +1032,66 @@ impl ExecutionContext {
 
     /// Solve `A x = b` (driver-local; inputs are collected if remote).
     pub fn solve(&mut self, out: &str, a: &str, b: &str) -> Result<()> {
-        let (an, bn) = (a.to_string(), b.to_string());
-        self.resolve(a)?;
+        let (_, (n, _)) = self.resolved(a)?;
         self.resolve(b)?;
-        let n = self.binding(a)?.value.shape().map(|(r, _)| r).unwrap_or(1);
-        let op_cost = cost::flops("solve", n, n, n);
-        self.exec_instr(out, "solve", vec![], &[a, b], move |ctx| {
-            let ma = ctx.local_input(&an)?;
-            let mb = ctx.local_input(&bn)?;
-            Ok((Value::Matrix(msolve::solve(&ma, &mb)?), op_cost))
+        let kind = OpKind::Solve;
+        let op_cost = kind.flops(n, n, n);
+        self.dense_op(out, &kind, &[a, b], op_cost, None, |m| {
+            msolve::solve(m[0], m[1])
         })
     }
 
     /// Row-range slice (local or GPU input; mini-batch extraction).
     pub fn slice_rows(&mut self, out: &str, x: &str, start: usize, end: usize) -> Result<()> {
-        let xn = x.to_string();
-        self.resolve(x)?;
-        let data = vec![start.to_string(), end.to_string()];
-        self.exec_instr(out, "rightIndex", data, &[x], move |ctx| {
-            let m = ctx.local_input(&xn)?;
-            let s = reorg::slice_rows(&m, start, end)?;
-            let c = s.len() as f64;
-            Ok((Value::Matrix(s), c))
+        let (_, (_, c)) = self.resolved(x)?;
+        let kind = OpKind::SliceRows { start, end };
+        let op_cost = kind.flops(end.saturating_sub(start), 1, c);
+        self.dense_op(out, &kind, &[x], op_cost, None, move |m| {
+            reorg::slice_rows(m[0], start, end)
         })
     }
 
     /// Column-range slice.
     pub fn slice_cols(&mut self, out: &str, x: &str, start: usize, end: usize) -> Result<()> {
-        let xn = x.to_string();
-        self.resolve(x)?;
-        let data = vec![start.to_string(), end.to_string()];
-        self.exec_instr(out, "rightIndexCol", data, &[x], move |ctx| {
-            let m = ctx.local_input(&xn)?;
-            let s = reorg::slice_cols(&m, start, end)?;
-            let c = s.len() as f64;
-            Ok((Value::Matrix(s), c))
+        let (_, (r, _)) = self.resolved(x)?;
+        let kind = OpKind::SliceCols { start, end };
+        let op_cost = kind.flops(r, 1, end.saturating_sub(start));
+        self.dense_op(out, &kind, &[x], op_cost, None, move |m| {
+            reorg::slice_cols(m[0], start, end)
         })
     }
 
     /// Vertical append.
     pub fn rbind(&mut self, out: &str, a: &str, b: &str) -> Result<()> {
-        let (an, bn) = (a.to_string(), b.to_string());
-        self.resolve(a)?;
-        self.resolve(b)?;
-        self.exec_instr(out, "rbind", vec![], &[a, b], move |ctx| {
-            let ma = ctx.local_input(&an)?;
-            let mb = ctx.local_input(&bn)?;
-            let m = reorg::rbind(&ma, &mb)?;
-            let c = m.len() as f64;
-            Ok((Value::Matrix(m), c))
+        let (_, (ar, ac)) = self.resolved(a)?;
+        let (_, (br, _)) = self.resolved(b)?;
+        let kind = OpKind::Rbind;
+        let op_cost = kind.flops(ar + br, 1, ac);
+        self.dense_op(out, &kind, &[a, b], op_cost, None, |m| {
+            reorg::rbind(m[0], m[1])
         })
     }
 
     /// Horizontal append.
     pub fn cbind(&mut self, out: &str, a: &str, b: &str) -> Result<()> {
-        let (an, bn) = (a.to_string(), b.to_string());
-        self.resolve(a)?;
-        self.resolve(b)?;
-        self.exec_instr(out, "cbind", vec![], &[a, b], move |ctx| {
-            let ma = ctx.local_input(&an)?;
-            let mb = ctx.local_input(&bn)?;
-            let m = reorg::cbind(&ma, &mb)?;
-            let c = m.len() as f64;
-            Ok((Value::Matrix(m), c))
+        let (_, (ar, ac)) = self.resolved(a)?;
+        let (_, (_, bc)) = self.resolved(b)?;
+        let kind = OpKind::Cbind;
+        let op_cost = kind.flops(ar, 1, ac + bc);
+        self.dense_op(out, &kind, &[a, b], op_cost, None, |m| {
+            reorg::cbind(m[0], m[1])
         })
     }
 
-    /// Row selection by 0/1 mask (`removeEmpty`-style).
+    /// Row selection by 0/1 mask (`removeEmpty`-style), costed over the
+    /// input.
     pub fn select_rows(&mut self, out: &str, x: &str, mask: &str) -> Result<()> {
-        let (xn, mn) = (x.to_string(), mask.to_string());
-        self.resolve(x)?;
+        let (_, (r, c)) = self.resolved(x)?;
         self.resolve(mask)?;
-        self.exec_instr(out, "removeEmpty", vec![], &[x, mask], move |ctx| {
-            let m = ctx.local_input(&xn)?;
-            let msk = ctx.local_input(&mn)?;
-            let s = reorg::select_rows(&m, &msk)?;
-            let c = m.len() as f64;
-            Ok((Value::Matrix(s), c))
+        let kind = OpKind::SelectRows;
+        let op_cost = kind.flops(r, 1, c);
+        self.dense_op(out, &kind, &[x, mask], op_cost, None, |m| {
+            reorg::select_rows(m[0], m[1])
         })
     }
 
@@ -1173,122 +1101,75 @@ impl ExecutionContext {
 
     /// 2-D convolution (GPU-preferred).
     pub fn conv2d(&mut self, out: &str, x: &str, w: &str, p: Conv2dParams) -> Result<()> {
-        self.resolve(x)?;
+        let (xv, (n, _)) = self.resolved(x)?;
         self.resolve(w)?;
-        let xv = self.binding(x)?.value.clone();
-        let n = xv.shape().map(|(r, _)| r).unwrap_or(1);
+        let kind = OpKind::Conv2d(p);
         let patch = p.in_channels * p.kernel * p.kernel;
-        let op_cost = cost::flops(
-            "conv2d",
-            n * p.out_height() * p.out_width(),
-            patch,
-            p.out_channels,
-        );
-        let use_gpu = self.gpu_target("conv2d", &[&xv], n * p.out_cols());
-        let (xn, wn) = (x.to_string(), w.to_string());
-        let data = vec![format!("{p:?}")];
-        self.exec_instr(out, "conv2d", data, &[x, w], move |ctx| {
-            if use_gpu {
-                ctx.gpu_exec(&[&xn, &wn], n, p.out_cols(), op_cost, move |ms| {
-                    nn::conv2d(ms[0], ms[1], &p).expect("dims")
-                })
-            } else {
-                let mx = ctx.local_input(&xn)?;
-                let mw = ctx.local_input(&wn)?;
-                Ok((Value::Matrix(nn::conv2d(&mx, &mw, &p)?), op_cost))
-            }
-        })
+        let op_cost = kind.flops(n * p.out_height() * p.out_width(), patch, p.out_channels);
+        let gpu = self.gpu_target(&kind, &[&xv], n * p.out_cols());
+        self.dense_op(
+            out,
+            &kind,
+            &[x, w],
+            op_cost,
+            gpu.then_some((n, p.out_cols())),
+            move |m| nn::conv2d(m[0], m[1], &p),
+        )
     }
 
     /// 2-D max pooling.
     pub fn max_pool2d(&mut self, out: &str, x: &str, p: Pool2dParams) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let n = xv.shape().map(|(r, _)| r).unwrap_or(1);
-        let op_cost = cost::flops("maxpool", n, 1, p.out_cols() * p.window * p.window);
-        let use_gpu = self.gpu_target("maxpool", &[&xv], n * p.out_cols());
-        let xn = x.to_string();
-        let data = vec![format!("{p:?}")];
-        self.exec_instr(out, "maxpool", data, &[x], move |ctx| {
-            if use_gpu {
-                ctx.gpu_exec(&[&xn], n, p.out_cols(), op_cost, move |ms| {
-                    nn::max_pool2d(ms[0], &p).expect("dims")
-                })
-            } else {
-                let m = ctx.local_input(&xn)?;
-                Ok((Value::Matrix(nn::max_pool2d(&m, &p)?), op_cost))
-            }
-        })
+        let (xv, (n, _)) = self.resolved(x)?;
+        let kind = OpKind::MaxPool2d(p);
+        let op_cost = kind.flops(n, 1, p.out_cols() * p.window * p.window);
+        let gpu = self.gpu_target(&kind, &[&xv], n * p.out_cols());
+        self.dense_op(
+            out,
+            &kind,
+            &[x],
+            op_cost,
+            gpu.then_some((n, p.out_cols())),
+            move |m| nn::max_pool2d(m[0], &p),
+        )
     }
 
     /// Affine layer `X %*% W + b` (GPU-preferred).
     pub fn affine(&mut self, out: &str, x: &str, w: &str, b: &str) -> Result<()> {
-        self.resolve(x)?;
-        self.resolve(w)?;
+        let (xv, (n, k)) = self.resolved(x)?;
+        let (wv, (_, d)) = self.resolved(w)?;
         self.resolve(b)?;
-        let xv = self.binding(x)?.value.clone();
-        let wv = self.binding(w)?.value.clone();
-        let (n, k) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let d = wv.shape().map(|(_, d)| d).unwrap_or(1);
-        let op_cost = cost::flops("ba+*", n, k, d);
-        let use_gpu = self.gpu_target("affine", &[&xv, &wv], n * d);
-        let (xn, wn, bn) = (x.to_string(), w.to_string(), b.to_string());
-        self.exec_instr(out, "affine", vec![], &[x, w, b], move |ctx| {
-            if use_gpu {
-                ctx.gpu_exec(&[&xn, &wn, &bn], n, d, op_cost, |ms| {
-                    nn::affine(ms[0], ms[1], ms[2]).expect("dims")
-                })
-            } else {
-                let mx = ctx.local_input(&xn)?;
-                let mw = ctx.local_input(&wn)?;
-                let mb = ctx.local_input(&bn)?;
-                Ok((Value::Matrix(nn::affine(&mx, &mw, &mb)?), op_cost))
-            }
-        })
+        let kind = OpKind::Affine;
+        let op_cost = kind.flops(n, k, d);
+        let gpu = self.gpu_target(&kind, &[&xv, &wv], n * d);
+        self.dense_op(
+            out,
+            &kind,
+            &[x, w, b],
+            op_cost,
+            gpu.then_some((n, d)),
+            |m| nn::affine(m[0], m[1], m[2]),
+        )
     }
 
     /// Row-wise softmax.
     pub fn softmax(&mut self, out: &str, x: &str) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops("softmax", r, 1, c);
-        let use_gpu = self.gpu_target("softmax", &[&xv], r * c);
-        let xn = x.to_string();
-        self.exec_instr(out, "softmax", vec![], &[x], move |ctx| {
-            if use_gpu {
-                ctx.gpu_exec(&[&xn], r, c, op_cost, |ms| nn::softmax_rows(ms[0]))
-            } else {
-                let m = ctx.local_input(&xn)?;
-                Ok((Value::Matrix(nn::softmax_rows(&m)), op_cost))
-            }
+        let (xv, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Softmax;
+        let op_cost = kind.flops(r, 1, c);
+        let gpu = self.gpu_target(&kind, &[&xv], r * c);
+        self.dense_op(out, &kind, &[x], op_cost, gpu.then_some((r, c)), |m| {
+            Ok(nn::softmax_rows(m[0]))
         })
     }
 
     /// Inverted dropout with a deterministic seed (lineage-sound).
     pub fn dropout(&mut self, out: &str, x: &str, rate: f64, seed: u64) -> Result<()> {
-        self.resolve(x)?;
-        let xv = self.binding(x)?.value.clone();
-        let (r, c) = xv
-            .shape()
-            .ok_or_else(|| EngineError::Unsupported("unknown shape".into()))?;
-        let op_cost = cost::flops("dropout", r, 1, c);
-        let use_gpu = self.gpu_target("dropout", &[&xv], r * c);
-        let xn = x.to_string();
-        let data = vec![rate.to_string(), seed.to_string()];
-        self.exec_instr(out, "dropout", data, &[x], move |ctx| {
-            if use_gpu {
-                ctx.gpu_exec(&[&xn], r, c, op_cost, move |ms| {
-                    nn::dropout(ms[0], rate, seed)
-                })
-            } else {
-                let m = ctx.local_input(&xn)?;
-                Ok((Value::Matrix(nn::dropout(&m, rate, seed)), op_cost))
-            }
+        let (xv, (r, c)) = self.resolved(x)?;
+        let kind = OpKind::Dropout { rate, seed };
+        let op_cost = kind.flops(r, 1, c);
+        let gpu = self.gpu_target(&kind, &[&xv], r * c);
+        self.dense_op(out, &kind, &[x], op_cost, gpu.then_some((r, c)), move |m| {
+            Ok(nn::dropout(m[0], rate, seed))
         })
     }
 }

@@ -1,20 +1,22 @@
 //! The engine-side [`LineageExecutor`]: re-executes serialized lineage
-//! traces over the local matrix kernels, enabling the paper's RECOMPUTE
-//! API for debugging and cross-environment reproduction (§3.2).
+//! traces through the engine's own instructions, enabling the paper's
+//! RECOMPUTE API for debugging and cross-environment reproduction (§3.2).
+//!
+//! Each lineage node decodes through the operator table
+//! ([`OpKind::from_lineage`]) and runs via [`ExecutionContext::apply`] in a
+//! reuse-off, CPU-only context, so a replayed value comes from the same
+//! kernels as the traced one.
 
+use crate::config::{EngineConfig, ReuseMode};
+use crate::context::ExecutionContext;
+use crate::plan::OpKind;
+use crate::value::Value;
 use memphis_core::cache::entry::CachedObject;
 use memphis_core::lineage::LItem;
 use memphis_core::recompute::LineageExecutor;
-use memphis_matrix::ops::agg::{self, AggOp};
-use memphis_matrix::ops::binary::{self, BinaryOp};
-use memphis_matrix::ops::matmul as mm;
-use memphis_matrix::ops::nn;
-use memphis_matrix::ops::reorg;
-use memphis_matrix::ops::solve as msolve;
-use memphis_matrix::ops::unary::{self, UnaryOp};
-use memphis_matrix::rand_gen;
 use memphis_matrix::Matrix;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Executes lineage nodes over driver-local matrices. Leaf nodes resolve
 /// through the registered input datasets (by the same names used in
@@ -23,12 +25,14 @@ use std::collections::HashMap;
 pub struct MatrixExecutor {
     /// Input datasets by lineage leaf name.
     pub inputs: HashMap<String, Matrix>,
+    /// Replay context, created on first use.
+    ctx: Option<ExecutionContext>,
 }
 
 impl MatrixExecutor {
     /// Creates an executor with the given input datasets.
     pub fn new(inputs: HashMap<String, Matrix>) -> Self {
-        Self { inputs }
+        Self { inputs, ctx: None }
     }
 
     /// Registers one input dataset.
@@ -38,167 +42,49 @@ impl MatrixExecutor {
     }
 }
 
-fn as_matrix(o: &CachedObject) -> Result<Matrix, String> {
-    match o {
-        CachedObject::Matrix(m) => Ok(m.as_ref().clone()),
-        CachedObject::Scalar(v) => Ok(Matrix::scalar(*v)),
-        other => Err(format!("non-local input: {}", other.backend())),
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad {what}: {s}"))
-}
-
-fn binary_op_of(opcode: &str) -> Option<BinaryOp> {
-    Some(match opcode {
-        "+" => BinaryOp::Add,
-        "-" => BinaryOp::Sub,
-        "*" => BinaryOp::Mul,
-        "/" => BinaryOp::Div,
-        "^" => BinaryOp::Pow,
-        "min" => BinaryOp::Min,
-        "max" => BinaryOp::Max,
-        ">" => BinaryOp::Greater,
-        "<" => BinaryOp::Less,
-        ">=" => BinaryOp::GreaterEq,
-        "<=" => BinaryOp::LessEq,
-        "==" => BinaryOp::Equal,
-        "!=" => BinaryOp::NotEqual,
-        _ => return None,
-    })
-}
-
-fn unary_op_of(opcode: &str) -> Option<UnaryOp> {
-    Some(match opcode {
-        "exp" => UnaryOp::Exp,
-        "log" => UnaryOp::Log,
-        "sqrt" => UnaryOp::Sqrt,
-        "abs" => UnaryOp::Abs,
-        "neg" => UnaryOp::Neg,
-        "round" => UnaryOp::Round,
-        "floor" => UnaryOp::Floor,
-        "ceil" => UnaryOp::Ceil,
-        "relu" => UnaryOp::Relu,
-        "sigmoid" => UnaryOp::Sigmoid,
-        "tanh" => UnaryOp::Tanh,
-        "sign" => UnaryOp::Sign,
-        "recip" => UnaryOp::Recip,
-        "notzero" => UnaryOp::NotZero,
-        "isnan" => UnaryOp::IsNan,
-        "nan0" => UnaryOp::Nan0,
-        _ => return None,
-    })
-}
-
-fn agg_op_of(s: &str) -> Option<AggOp> {
-    Some(match s {
-        "sum" => AggOp::Sum,
-        "mean" => AggOp::Mean,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        "sumsq" => AggOp::SumSq,
-        "nnz" => AggOp::Nnz,
-        "var" => AggOp::Var,
-        "argmax" => AggOp::ArgMax,
-        _ => return None,
-    })
-}
-
 impl LineageExecutor for MatrixExecutor {
     fn execute(&mut self, item: &LItem, inputs: &[CachedObject]) -> Result<CachedObject, String> {
-        let opcode: &str = &item.opcode;
-        let m = |i: usize| as_matrix(&inputs[i]);
-        let ok = |m: Matrix| Ok(CachedObject::Matrix(std::sync::Arc::new(m)));
-        match opcode {
+        match &*item.opcode {
             "leaf" => {
-                let name = &item.data[0];
+                let name = item.data.first().ok_or("leaf without a name")?;
                 if let Some(v) = name.strip_prefix("scalar:") {
-                    return Ok(CachedObject::Scalar(parse(v, "scalar")?));
+                    let v = v.parse().map_err(|_| format!("bad scalar: {v}"))?;
+                    return Ok(CachedObject::Scalar(v));
                 }
-                self.inputs
+                return self
+                    .inputs
                     .get(name)
+                    .map(|m| CachedObject::Matrix(Arc::new(m.clone())))
+                    .ok_or_else(|| format!("unknown input dataset {name}"));
+            }
+            // A prefetched collect: the same value, now driver-local.
+            "collect" => {
+                return inputs
+                    .first()
                     .cloned()
-                    .map(|m| CachedObject::Matrix(std::sync::Arc::new(m)))
-                    .ok_or_else(|| format!("unknown input dataset {name}"))
+                    .ok_or_else(|| "collect without input".into())
             }
-            "rand" => {
-                let rows = parse(&item.data[0], "rows")?;
-                let cols = parse(&item.data[1], "cols")?;
-                let min = parse(&item.data[2], "min")?;
-                let max = parse(&item.data[3], "max")?;
-                let seed = parse(&item.data[4], "seed")?;
-                ok(rand_gen::rand_uniform(rows, cols, min, max, seed))
-            }
-            "seq" => {
-                let from = parse(&item.data[0], "from")?;
-                let to = parse(&item.data[1], "to")?;
-                let incr = parse(&item.data[2], "incr")?;
-                ok(Matrix::seq(from, to, incr))
-            }
-            "ba+*" => ok(mm::matmul(&m(0)?, &m(1)?).map_err(|e| e.to_string())?),
-            "tsmm" => ok(mm::tsmm(&m(0)?).map_err(|e| e.to_string())?),
-            "tmm-y" => {
-                ok(mm::matmul(&reorg::transpose(&m(0)?), &m(1)?).map_err(|e| e.to_string())?)
-            }
-            "r'" => ok(reorg::transpose(&m(0)?)),
-            "solve" => ok(msolve::solve(&m(0)?, &m(1)?).map_err(|e| e.to_string())?),
-            "rightIndex" => {
-                let s = parse(&item.data[0], "start")?;
-                let e = parse(&item.data[1], "end")?;
-                ok(reorg::slice_rows(&m(0)?, s, e).map_err(|e| e.to_string())?)
-            }
-            "rightIndexCol" => {
-                let s = parse(&item.data[0], "start")?;
-                let e = parse(&item.data[1], "end")?;
-                ok(reorg::slice_cols(&m(0)?, s, e).map_err(|e| e.to_string())?)
-            }
-            "rbind" => ok(reorg::rbind(&m(0)?, &m(1)?).map_err(|e| e.to_string())?),
-            "cbind" => ok(reorg::cbind(&m(0)?, &m(1)?).map_err(|e| e.to_string())?),
-            "removeEmpty" => ok(reorg::select_rows(&m(0)?, &m(1)?).map_err(|e| e.to_string())?),
-            "softmax" => ok(nn::softmax_rows(&m(0)?)),
-            "dropout" => {
-                let rate = parse(&item.data[0], "rate")?;
-                let seed = parse(&item.data[1], "seed")?;
-                ok(nn::dropout(&m(0)?, rate, seed))
-            }
-            "affine" => ok(nn::affine(&m(0)?, &m(1)?, &m(2)?).map_err(|e| e.to_string())?),
-            "collect" => Ok(inputs[0].clone()),
-            _ => {
-                // Elementwise binary (2 inputs) or against a literal
-                // constant (1 input + data).
-                if let Some(op) = binary_op_of(opcode) {
-                    return if inputs.len() == 2 {
-                        ok(binary::binary(&m(0)?, &m(1)?, op).map_err(|e| e.to_string())?)
-                    } else {
-                        let c = parse(&item.data[0], "constant")?;
-                        let swap: bool = parse(&item.data[1], "swap")?;
-                        ok(binary::binary_scalar(&m(0)?, c, op, swap))
-                    };
-                }
-                if let Some(op) = unary_op_of(opcode) {
-                    return ok(unary::unary(&m(0)?, op));
-                }
-                if let Some(rest) = opcode.strip_prefix("ua") {
-                    let (dir, op_str) = if let Some(r) = rest.strip_prefix('r') {
-                        ('r', r)
-                    } else if let Some(c) = rest.strip_prefix('c') {
-                        ('c', c)
-                    } else {
-                        (' ', rest)
-                    };
-                    let op = agg_op_of(op_str).ok_or_else(|| format!("bad agg {opcode}"))?;
-                    let x = m(0)?;
-                    return match dir {
-                        'r' => ok(agg::row_agg(&x, op).map_err(|e| e.to_string())?),
-                        'c' => ok(agg::col_agg(&x, op).map_err(|e| e.to_string())?),
-                        _ => Ok(CachedObject::Scalar(
-                            agg::aggregate(&x, op).map_err(|e| e.to_string())?,
-                        )),
-                    };
-                }
-                Err(format!("unsupported opcode for recompute: {opcode}"))
-            }
+            _ => {}
+        }
+        let kind = OpKind::from_lineage(&item.opcode, &item.data, inputs.len())?;
+        let ctx = self.ctx.get_or_insert_with(|| {
+            ExecutionContext::local(EngineConfig::test().with_reuse(ReuseMode::None))
+        });
+        let names: Vec<String> = (0..inputs.len()).map(|i| format!("in{i}")).collect();
+        for (name, obj) in names.iter().zip(inputs) {
+            let value = match obj {
+                CachedObject::Matrix(m) => Value::Matrix(m.as_ref().clone()),
+                CachedObject::Scalar(v) => Value::Scalar(*v),
+                other => return Err(format!("non-local input: {}", other.backend())),
+            };
+            ctx.bind(name, value, None, 0.0);
+        }
+        let ins: Vec<&str> = names.iter().map(String::as_str).collect();
+        ctx.apply("out", &kind, &ins).map_err(|e| e.to_string())?;
+        match ctx.value("out").map_err(|e| e.to_string())? {
+            Value::Scalar(v) => Ok(CachedObject::Scalar(*v)),
+            Value::Matrix(m) => Ok(CachedObject::Matrix(Arc::new(m.clone()))),
+            other => Err(format!("non-local result: {}", other.backend())),
         }
     }
 }
@@ -206,12 +92,131 @@ impl LineageExecutor for MatrixExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineConfig;
-    use crate::context::ExecutionContext;
+    use crate::ops::AggDir;
     use memphis_core::lineage::serialize;
     use memphis_core::recompute::recompute;
+    use memphis_matrix::ops::agg::AggOp;
+    use memphis_matrix::ops::binary::{self, BinaryOp};
     use memphis_matrix::ops::matmul::tsmm;
+    use memphis_matrix::ops::nn::{Conv2dParams, Pool2dParams};
+    use memphis_matrix::ops::unary::{self, UnaryOp};
     use memphis_matrix::rand_gen::rand_uniform;
+
+    /// Serializes `var`'s lineage, RECOMPUTEs it from the named `inputs`,
+    /// and asserts the replayed value is bit-identical to the traced one.
+    fn assert_replays(ctx: &mut ExecutionContext, var: &str, inputs: &[(&str, &Matrix)]) {
+        let log = serialize(&ctx.lineage_of(var).expect("traced"));
+        let mut exec = MatrixExecutor::new(
+            inputs
+                .iter()
+                .map(|(name, m)| (name.to_string(), (*m).clone()))
+                .collect(),
+        );
+        let replayed = recompute(&log, &mut exec).unwrap_or_else(|e| panic!("{var}: {e}"));
+        match (ctx.value(var).unwrap().clone(), replayed) {
+            (Value::Scalar(a), CachedObject::Scalar(b)) => {
+                assert_eq!(a.to_bits(), b.to_bits(), "{var}")
+            }
+            (_, CachedObject::Matrix(m)) => {
+                let traced = ctx.get_matrix(var).unwrap();
+                assert_eq!(traced.fingerprint(), m.fingerprint(), "{var}");
+            }
+            (v, other) => panic!("{var}: traced {v:?}, replayed {other:?}"),
+        }
+    }
+
+    #[test]
+    fn recompute_replays_conv2d_then_max_pool2d() {
+        let mut ctx = ExecutionContext::local(EngineConfig::test());
+        let img = rand_uniform(4, 3 * 8 * 8, 0.0, 1.0, 7);
+        ctx.read("IMG", img.clone(), "img.bin").unwrap();
+        ctx.rand("W", 4, 27, -0.3, 0.3, 300).unwrap();
+        let conv = Conv2dParams {
+            in_channels: 3,
+            out_channels: 4,
+            height: 8,
+            width: 8,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        ctx.conv2d("C", "IMG", "W", conv).unwrap();
+        let pool = Pool2dParams {
+            channels: 4,
+            height: 8,
+            width: 8,
+            window: 2,
+            stride: 2,
+        };
+        ctx.max_pool2d("P", "C", pool).unwrap();
+        assert_replays(&mut ctx, "C", &[("img.bin", &img)]);
+        assert_replays(&mut ctx, "P", &[("img.bin", &img)]);
+    }
+
+    #[test]
+    fn recompute_replays_every_builtin_instruction() {
+        let mut ctx = ExecutionContext::local(EngineConfig::test());
+        let x = rand_uniform(12, 4, -1.0, 1.0, 1);
+        let y = rand_uniform(12, 2, -1.0, 1.0, 2);
+        let inputs = [("X.bin", &x), ("y.bin", &y)];
+        ctx.read("X", x.clone(), "X.bin").unwrap();
+        ctx.read("y", y.clone(), "y.bin").unwrap();
+        ctx.rand("W", 4, 3, -0.5, 0.5, 11).unwrap();
+        ctx.rand("b", 1, 3, 0.0, 0.1, 12).unwrap();
+        ctx.affine("aff", "X", "W", "b").unwrap();
+        ctx.xty("xty", "X", "y").unwrap();
+        ctx.seq("seq", 1.0, 12.0, 1.0).unwrap();
+        ctx.rbind("rb", "X", "X").unwrap();
+        ctx.cbind("cb", "X", "y").unwrap();
+        ctx.binary_const("mask", "seq", 6.5, BinaryOp::Greater, false)
+            .unwrap();
+        ctx.select_rows("sel", "X", "mask").unwrap();
+        ctx.softmax("sm", "aff").unwrap();
+        ctx.dropout("dr", "X", 0.25, 99).unwrap();
+        ctx.slice_rows("sr", "X", 2, 7).unwrap();
+        ctx.slice_cols("sc", "X", 1, 3).unwrap();
+        ctx.binary_const("half", "X", 0.5, BinaryOp::Sub, true)
+            .unwrap();
+        ctx.unary("ab", "half", UnaryOp::Abs).unwrap();
+        ctx.matmul("mm", "X", "W").unwrap();
+        ctx.transpose("t", "mm").unwrap();
+        for (dir, tag) in [
+            (AggDir::Full, "full"),
+            (AggDir::Row, "row"),
+            (AggDir::Col, "col"),
+        ] {
+            ctx.agg(tag, "X", AggOp::Mean, dir).unwrap();
+        }
+        for var in [
+            "aff", "xty", "seq", "rb", "cb", "sel", "sm", "dr", "sr", "sc", "ab", "t", "full",
+            "row", "col",
+        ] {
+            assert_replays(&mut ctx, var, &inputs);
+        }
+    }
+
+    #[test]
+    fn undecodable_lineage_is_an_error_not_a_panic() {
+        use memphis_core::lineage::LineageItem;
+        let mut exec = MatrixExecutor::default();
+        let (conv, _) = OpKind::Conv2d(Conv2dParams {
+            in_channels: 1,
+            out_channels: 1,
+            height: 2,
+            width: 2,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+        })
+        .lineage()
+        .unwrap();
+        let truncated = vec!["Conv2dParams { in_channels: 1 }".to_string()];
+        let item = LineageItem::new(&conv, truncated, vec![]);
+        assert!(exec.execute(&item, &[]).is_err());
+        let (mm, data) = OpKind::MatMul.lineage().unwrap();
+        let item = LineageItem::new(&mm, data, vec![]);
+        assert!(exec.execute(&item, &[]).is_err(), "arity is checked");
+    }
 
     #[test]
     fn recompute_reproduces_traced_pipeline() {

@@ -26,6 +26,23 @@ pub enum AggOp {
 }
 
 impl AggOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [AggOp; 8] = [
+        AggOp::Sum,
+        AggOp::Mean,
+        AggOp::Min,
+        AggOp::Max,
+        AggOp::SumSq,
+        AggOp::Nnz,
+        AggOp::Var,
+        AggOp::ArgMax,
+    ];
+
+    /// The operator whose [`AggOp::opcode`] is `opcode`.
+    pub fn from_opcode(opcode: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|op| op.opcode() == opcode)
+    }
+
     /// Opcode string used in lineage traces.
     pub fn opcode(self) -> &'static str {
         match self {
@@ -105,6 +122,18 @@ mod tests {
 
     fn m23() -> Matrix {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap()
+    }
+
+    #[test]
+    fn opcodes_round_trip_and_are_distinct() {
+        for op in AggOp::ALL {
+            assert_eq!(AggOp::from_opcode(op.opcode()), Some(op));
+        }
+        let mut codes: Vec<_> = AggOp::ALL.iter().map(|op| op.opcode()).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), AggOp::ALL.len());
+        assert_eq!(AggOp::from_opcode("uasum"), None);
     }
 
     #[test]

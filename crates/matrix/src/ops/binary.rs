@@ -35,6 +35,28 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [BinaryOp; 13] = [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::Pow,
+        BinaryOp::Min,
+        BinaryOp::Max,
+        BinaryOp::Greater,
+        BinaryOp::Less,
+        BinaryOp::GreaterEq,
+        BinaryOp::LessEq,
+        BinaryOp::Equal,
+        BinaryOp::NotEqual,
+    ];
+
+    /// The operator whose [`BinaryOp::opcode`] is `opcode`.
+    pub fn from_opcode(opcode: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|op| op.opcode() == opcode)
+    }
+
     /// Applies the operator to one pair of values.
     #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
@@ -161,6 +183,18 @@ mod tests {
 
     fn m(rows: usize, cols: usize, v: &[f64]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn opcodes_round_trip_and_are_distinct() {
+        for op in BinaryOp::ALL {
+            assert_eq!(BinaryOp::from_opcode(op.opcode()), Some(op));
+        }
+        let mut codes: Vec<_> = BinaryOp::ALL.iter().map(|op| op.opcode()).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), BinaryOp::ALL.len());
+        assert_eq!(BinaryOp::from_opcode("sum"), None);
     }
 
     #[test]

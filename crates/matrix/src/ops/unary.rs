@@ -40,6 +40,31 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [UnaryOp; 16] = [
+        UnaryOp::Exp,
+        UnaryOp::Log,
+        UnaryOp::Sqrt,
+        UnaryOp::Abs,
+        UnaryOp::Neg,
+        UnaryOp::Round,
+        UnaryOp::Floor,
+        UnaryOp::Ceil,
+        UnaryOp::Relu,
+        UnaryOp::Sigmoid,
+        UnaryOp::Tanh,
+        UnaryOp::Sign,
+        UnaryOp::Recip,
+        UnaryOp::NotZero,
+        UnaryOp::IsNan,
+        UnaryOp::Nan0,
+    ];
+
+    /// The operator whose [`UnaryOp::opcode`] is `opcode`.
+    pub fn from_opcode(opcode: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|op| op.opcode() == opcode)
+    }
+
     /// Applies the operator to one value.
     #[inline]
     pub fn apply(self, x: f64) -> f64 {
@@ -109,6 +134,18 @@ pub fn unary(m: &Matrix, op: UnaryOp) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn opcodes_round_trip_and_are_distinct() {
+        for op in UnaryOp::ALL {
+            assert_eq!(UnaryOp::from_opcode(op.opcode()), Some(op));
+        }
+        let mut codes: Vec<_> = UnaryOp::ALL.iter().map(|op| op.opcode()).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), UnaryOp::ALL.len());
+        assert_eq!(UnaryOp::from_opcode("+"), None);
+    }
 
     #[test]
     fn relu_clamps_negatives() {

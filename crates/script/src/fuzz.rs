@@ -7,8 +7,8 @@
 //! `rand(...)` calls, so no external read resolver is needed. Operators
 //! are chosen so results stay bounded (relu/sigmoid/tanh/abs, products of
 //! [-1, 1] uniforms): every run is deterministic, which is what makes the
-//! reuse-on/off, `Paper`/`DelayedHits`, and warm-restart differentials
-//! meaningful bit-for-bit.
+//! reuse-on/off, `Paper`/`DelayedHits`, warm-restart, and RECOMPUTE
+//! differentials meaningful bit-for-bit.
 
 use crate::ast::Stmt;
 use crate::{compile, parse, print_source};

@@ -1310,32 +1310,11 @@ fn elementwise_op(op: BinOp) -> BinaryOp {
 }
 
 fn unary_op(name: &str) -> UnaryOp {
-    match name {
-        "exp" => UnaryOp::Exp,
-        "log" => UnaryOp::Log,
-        "sqrt" => UnaryOp::Sqrt,
-        "abs" => UnaryOp::Abs,
-        "round" => UnaryOp::Round,
-        "floor" => UnaryOp::Floor,
-        "ceil" => UnaryOp::Ceil,
-        "relu" => UnaryOp::Relu,
-        "sigmoid" => UnaryOp::Sigmoid,
-        "tanh" => UnaryOp::Tanh,
-        "sign" => UnaryOp::Sign,
-        other => unreachable!("not a unary builtin: {other}"),
-    }
+    UnaryOp::from_opcode(name).unwrap_or_else(|| unreachable!("not a unary builtin: {name}"))
 }
 
 fn agg_op(name: &str) -> AggOp {
-    match name {
-        "sum" => AggOp::Sum,
-        "mean" => AggOp::Mean,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        "var" => AggOp::Var,
-        "sumsq" => AggOp::SumSq,
-        other => unreachable!("not an agg builtin: {other}"),
-    }
+    AggOp::from_opcode(name).unwrap_or_else(|| unreachable!("not an agg builtin: {name}"))
 }
 
 /// Result type when one side of an elementwise op is a scalar.

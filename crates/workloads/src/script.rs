@@ -3,15 +3,20 @@
 //! program, and digests the printed sinks. On top of that sits the
 //! structured differential runner of the memphis-script fuzzer: every
 //! program is executed reuse-on vs reuse-off, `Paper` vs `DelayedHits`,
-//! and warm-restart-after-spill, asserting bit-identical sink digests;
-//! divergences are minimized and persisted as runnable `.dml` repros.
+//! and warm-restart-after-spill, and its sinks are RECOMPUTEd from their
+//! serialized lineage, asserting bit-identical sink digests; divergences
+//! are minimized and persisted as runnable `.dml` repros.
 
 use crate::data;
 use crate::harness::Backends;
 use memphis_core::cache::config::{CacheConfig, CachePolicy};
+use memphis_core::cache::entry::CachedObject;
+use memphis_core::lineage::serialize;
+use memphis_core::recompute::recompute;
 use memphis_engine::compiler::Ordering;
 use memphis_engine::context::{EngineError, Result as EngineResult};
 use memphis_engine::interp::run_program;
+use memphis_engine::recompute_exec::MatrixExecutor;
 use memphis_engine::{EngineConfig, ExecutionContext, ReuseMode, Value};
 use memphis_matrix::ops::binary::{binary_scalar, BinaryOp};
 use memphis_matrix::rand_gen::rand_uniform;
@@ -126,6 +131,31 @@ pub fn sink_digest(
     Ok((digest, per))
 }
 
+/// RECOMPUTEs every printed sink of a finished run from its serialized
+/// lineage and the script's `read` datasets, and digests the replayed
+/// values with [`sink_digest`].
+fn recompute_digest(ctx: &ExecutionContext, c: &Compiled) -> EngineResult<u64> {
+    let fail = EngineError::Unsupported;
+    let inputs = c
+        .reads
+        .iter()
+        .filter_map(|spec| Some((spec.name.clone(), resolve_read(spec)?)))
+        .collect();
+    let mut exec = MatrixExecutor::new(inputs);
+    let mut replay = local_ctx(ReuseMode::None, CacheConfig::test());
+    for sink in &c.prints {
+        let item = ctx
+            .lineage_of(sink)
+            .ok_or_else(|| fail(format!("sink {sink} has no lineage")))?;
+        match recompute(&serialize(&item), &mut exec).map_err(|e| fail(e.to_string()))? {
+            CachedObject::Scalar(v) => replay.literal(sink, v)?,
+            CachedObject::Matrix(m) => replay.read(sink, m.as_ref().clone(), sink)?,
+            other => return Err(fail(format!("{sink} replayed on {}", other.backend()))),
+        }
+    }
+    Ok(sink_digest(&mut replay, &c.prints)?.0)
+}
+
 /// Executes a compiled script end-to-end in `ctx` and digests its sinks.
 pub fn run_compiled(ctx: &mut ExecutionContext, c: &Compiled) -> EngineResult<ScriptOutcome> {
     bind_reads(ctx, c)?;
@@ -185,13 +215,15 @@ fn local_ctx(reuse: ReuseMode, cache: CacheConfig) -> ExecutionContext {
 /// Runs one compiled program under every differential configuration and
 /// returns the labeled sink digests:
 /// reuse-on (Memphis + `Paper`), reuse-off, delayed-hits (Memphis +
-/// `DelayedHits`), and warm-restart (persist, drop the cache, rehydrate
-/// over the same directory, re-run).
+/// `DelayedHits`), warm-restart (persist, drop the cache, rehydrate
+/// over the same directory, re-run), and recompute (RECOMPUTE each
+/// reuse-on sink from its serialized lineage).
 pub fn differential_digests(c: &Compiled, tag: &str) -> EngineResult<Vec<(&'static str, u64)>> {
     let mut out = Vec::new();
 
     let mut ctx = local_ctx(ReuseMode::Memphis, CacheConfig::test());
     out.push(("reuse-on", run_compiled(&mut ctx, c)?.digest));
+    let recomputed = recompute_digest(&ctx, c)?;
 
     let mut ctx = local_ctx(ReuseMode::None, CacheConfig::test());
     out.push(("reuse-off", run_compiled(&mut ctx, c)?.digest));
@@ -217,6 +249,7 @@ pub fn differential_digests(c: &Compiled, tag: &str) -> EngineResult<Vec<(&'stat
     drop(ctx);
     let _ = std::fs::remove_dir_all(&dir);
     out.push(("warm-restart", warm));
+    out.push(("recompute", recomputed));
 
     Ok(out)
 }
@@ -316,6 +349,7 @@ mod tests {
             let c = memphis_script::compile(src).unwrap();
             let d = differential_digests(&c, name).unwrap();
             assert!(digests_agree(&d), "{name}: {d:?}");
+            assert_eq!(d.last().map(|(label, _)| *label), Some("recompute"));
         }
     }
 

@@ -1,7 +1,8 @@
 //! Lineage-based debugging (§3.2): trace a pipeline, SERIALIZE the lineage
 //! of its result, ship the log elsewhere, and RECOMPUTE the exact same
 //! intermediate from the log — full re-execution from lineage, the
-//! reproducibility workflow the paper describes.
+//! reproducibility workflow the paper describes. The second part replays
+//! a CNN intermediate (conv2d → max_pool2d) bit for bit.
 //!
 //! Run with: `cargo run -p memphis-examples --bin lineage_debugging`
 
@@ -11,6 +12,7 @@ use memphis_core::recompute::recompute;
 use memphis_engine::recompute_exec::MatrixExecutor;
 use memphis_engine::{EngineConfig, ExecutionContext};
 use memphis_matrix::ops::binary::BinaryOp;
+use memphis_matrix::ops::nn::{Conv2dParams, Pool2dParams};
 use memphis_matrix::ops::unary::UnaryOp;
 use memphis_matrix::rand_gen::rand_uniform;
 
@@ -39,6 +41,46 @@ fn main() {
             assert!(m.approx_eq(&original, 1e-12));
             println!(
                 "--- recomputed S matches the original ({}x{} matrix) ---",
+                m.rows(),
+                m.cols()
+            );
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // A CNN feature map: conv2d -> relu -> max_pool2d over 8x8 RGB images.
+    let images = rand_uniform(4, 3 * 8 * 8, 0.0, 1.0, 7);
+    ctx.read("IMG", images.clone(), "images.bin").unwrap();
+    ctx.rand("W", 4, 3 * 3 * 3, -0.3, 0.3, 300).unwrap();
+    let conv = Conv2dParams {
+        in_channels: 3,
+        out_channels: 4,
+        height: 8,
+        width: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    ctx.conv2d("C", "IMG", "W", conv).unwrap();
+    ctx.unary("R", "C", UnaryOp::Relu).unwrap();
+    let pool = Pool2dParams {
+        channels: 4,
+        height: 8,
+        width: 8,
+        window: 2,
+        stride: 2,
+    };
+    ctx.max_pool2d("P", "R", pool).unwrap();
+    let original = ctx.get_matrix("P").unwrap();
+    let log = serialize(&ctx.lineage_of("P").expect("traced"));
+    println!("--- lineage log of P ({} nodes) ---", log.lines().count());
+    print!("{log}");
+    let mut exec = MatrixExecutor::default().with_input("images.bin", images);
+    match recompute(&log, &mut exec).expect("recompute") {
+        CachedObject::Matrix(m) => {
+            assert_eq!(m.fingerprint(), original.fingerprint(), "bit-identical");
+            println!(
+                "--- recomputed P is bit-identical to the original ({}x{} matrix) ---",
                 m.rows(),
                 m.cols()
             );

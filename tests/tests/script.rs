@@ -67,7 +67,8 @@ fn corpus_differential_is_digest_identical_in_every_configuration() {
     for (name, src) in CORPUS {
         let c = memphis_script::compile(src).unwrap();
         let digests = differential_digests(&c, &format!("it_{name}")).unwrap();
-        assert_eq!(digests.len(), 4, "{name}: expected all four configs");
+        assert_eq!(digests.len(), 5, "{name}: expected all five configs");
+        assert_eq!(digests[4].0, "recompute", "{name}: RECOMPUTE arm ran");
         assert!(digests_agree(&digests), "{name}: {digests:?}");
     }
 }
