@@ -6,7 +6,7 @@
 #   --skip-lint  omit the lint stage (CI runs it in a separate fast job)
 #   stage ...    run only the named stages (build test chaos obs
 #                concurrency serve cluster recovery latency script
-#                bench_gate perf lint); default is all of them.
+#                bench_gate lint); default is all of them.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -175,19 +175,13 @@ stage_script() {
     cargo run -q --release -p memphis-bench --bin exp_script
 }
 
-# Bench smoke gate: deterministic reuse/eviction/coalescing counters
-# must match the committed baseline exactly.
+# Counter gate: the six gate workloads plus a ~10x serving/concurrency
+# stress under virtual time, written to BENCH_gate.json. Every key of
+# the committed baseline must match exactly; wall-clock keys are
+# informational.
 stage_bench_gate() {
-    ci/bench_gate.sh
-}
-
-# Perf stage: the gate workloads at baseline scale (exact-match counter
-# gate) plus a ~10x serving/concurrency stress under virtual time,
-# reporting ops/sec and p50/p99 latency into BENCH_pr6.json. Wall-clock
-# keys are informational; any gated-counter divergence fails the stage.
-stage_perf() {
-    cargo build --release -q -p memphis-bench --bin perf_stress
-    ./target/release/perf_stress BENCH_pr6.json ci/BENCH_baseline.json
+    cargo build --release -q -p memphis-bench --bin bench_gate
+    ./target/release/bench_gate BENCH_gate.json ci/BENCH_baseline.json
 }
 
 stage_lint() {
@@ -195,7 +189,7 @@ stage_lint() {
     cargo fmt --check
 }
 
-ALL_STAGES=(build test chaos obs concurrency serve cluster recovery latency script bench_gate perf lint)
+ALL_STAGES=(build test chaos obs concurrency serve cluster recovery latency script bench_gate lint)
 SKIP_LINT=0
 REQUESTED=()
 for arg in "$@"; do
@@ -213,7 +207,7 @@ for stage in "${REQUESTED[@]}"; do
         continue
     fi
     case "$stage" in
-        build|test|chaos|obs|concurrency|serve|cluster|recovery|latency|script|bench_gate|perf|lint)
+        build|test|chaos|obs|concurrency|serve|cluster|recovery|latency|script|bench_gate|lint)
             run_stage "$stage" "stage_$stage" ;;
         *)
             echo "ci: unknown stage '$stage' (known: ${ALL_STAGES[*]})" >&2

@@ -1,80 +1,15 @@
-//! Shared gate-report plumbing for the bench binaries (`bench_gate`,
-//! `perf_stress`): flat JSON rendering/parsing and the exact-match
-//! comparison over the gated counter set.
+//! Gate-report plumbing for `bench_gate`: flat JSON rendering/parsing
+//! and the exact-match comparison against the committed baseline.
 //!
 //! The vendored serde is serialize-only, so both ends of the report are
 //! hand-rolled: a flat `{"key": integer, ...}` object is all the gate
-//! ever needs. Wall-clock keys ride along in the reports but are never
-//! gated — only the counters in [`GATED`] are compared, and the
-//! comparison is equality, not a tolerance band, because every gated
-//! counter is deterministic by construction.
+//! ever needs. **The baseline's keys are the gate**: every key present
+//! in `ci/BENCH_baseline.json` is compared for equality, not within a
+//! tolerance band, because every gated counter is deterministic by
+//! construction. Report keys absent from the baseline (wall clock,
+//! throughput) ride along informationally.
 
 use std::collections::HashMap;
-
-/// The gated counters, in report order. `ci/bench_gate.sh` and the
-/// `perf` stage fail the build when any of these diverges from the
-/// committed baseline; all other report keys are informational.
-pub const GATED: [&str; 8] = [
-    "hits",
-    "recomputes",
-    "evictions",
-    "coalesced_hits",
-    "duplicates",
-    "serve_shed",
-    "serve_coalesced",
-    "serve_quota_evictions",
-];
-
-/// The durable disk tier's recovery counters, gated by `bench_gate`
-/// only (the perf stage keeps gating [`GATED`] alone, so its reports
-/// stay schema-compatible with older baselines). Every one of these is
-/// deterministic: the recovery gate's fault plan is seeded and its
-/// store traffic is single-threaded.
-pub const GATED_RECOVERY: [&str; 4] = [
-    "segments_recovered",
-    "entries_rehydrated",
-    "checksum_rejects",
-    "manifest_swaps",
-];
-
-/// The cluster layer's scale-out counters, gated by `bench_gate` (like
-/// [`GATED_RECOVERY`], the perf stage keeps its older schema). The
-/// cluster gate harness is single-threaded and every decision is a
-/// SplitMix64 hash, so each of these is exact per `(seed, config)`.
-pub const GATED_CLUSTER: [&str; 6] = [
-    "remote_hits",
-    "remote_misses",
-    "transfer_bytes",
-    "rebalance_moves",
-    "replica_hits",
-    "replica_invalidations",
-];
-
-/// The latency gate's delayed-hits counters, gated by `bench_gate`
-/// (the perf stage keeps its older schema). The latency harness is
-/// single-threaded with SplitMix64 arrivals, so the p99s, the served
-/// count, and every policy counter are exact per seed.
-pub const GATED_LATENCY: [&str; 6] = [
-    "latency_served",
-    "latency_p99_paper",
-    "latency_p99_delayed",
-    "latency_mad_evictions",
-    "latency_ttna_rejects",
-    "latency_delay_ticks_saved",
-];
-
-/// The script frontend's gate counters (PR 10), gated by `bench_gate`
-/// (the perf stage keeps its older schema). The fuzz campaign is
-/// SplitMix64-seeded and the corpus is embedded at compile time, so
-/// program counts, lowered node totals, and the folded corpus digest
-/// are exact per seed.
-pub const GATED_SCRIPT: [&str; 5] = [
-    "script_programs_fuzzed",
-    "script_divergences",
-    "script_lowered_nodes",
-    "script_corpus_scripts",
-    "script_corpus_digest",
-];
 
 /// Renders a flat `{"k": v, ...}` JSON object.
 pub fn render(pairs: &[(&str, u64)]) -> String {
@@ -116,41 +51,30 @@ pub struct GateDiff {
     pub matches: Vec<(String, u64)>,
     /// `(key, got, want)` for diverged counters.
     pub regressions: Vec<(String, u64, u64)>,
-    /// Gated keys absent from the report or the baseline.
+    /// Baseline keys absent from the report.
     pub missing: Vec<String>,
 }
 
 impl GateDiff {
-    /// True when every gated counter matched.
+    /// True when every baseline counter matched.
     pub fn passed(&self) -> bool {
         self.regressions.is_empty() && self.missing.is_empty()
     }
 }
 
-/// Diffs only the [`GATED`] counters of a report against a baseline
-/// (both flat JSON strings). Extra keys on either side are ignored, so
-/// reports may carry informational wall-clock and perf keys beyond the
-/// baseline schema.
-pub fn compare_gated(report: &str, baseline: &str) -> GateDiff {
-    compare_keys(report, baseline, &GATED)
-}
-
-/// Diffs an explicit gated key set of a report against a baseline —
-/// `bench_gate` passes [`GATED`] plus [`GATED_RECOVERY`], the perf
-/// stage only [`GATED`].
-pub fn compare_keys(report: &str, baseline: &str, keys: &[&str]) -> GateDiff {
+/// Diffs a report against a baseline (both flat JSON strings) over
+/// every key of the baseline, in sorted key order. Report keys the
+/// baseline does not carry are ignored.
+pub fn compare(report: &str, baseline: &str) -> GateDiff {
     let current = parse(report);
-    let expected = parse(baseline);
+    let mut expected: Vec<(String, u64)> = parse(baseline).into_iter().collect();
+    expected.sort_unstable();
     let mut diff = GateDiff::default();
-    for &key in keys {
-        match (expected.get(key), current.get(key)) {
-            (Some(want), Some(got)) if want == got => {
-                diff.matches.push((key.to_string(), *got));
-            }
-            (Some(want), Some(got)) => {
-                diff.regressions.push((key.to_string(), *got, *want));
-            }
-            _ => diff.missing.push(key.to_string()),
+    for (key, want) in expected {
+        match current.get(&key) {
+            Some(&got) if got == want => diff.matches.push((key, got)),
+            Some(&got) => diff.regressions.push((key, got, want)),
+            None => diff.missing.push(key),
         }
     }
     diff
@@ -180,9 +104,35 @@ mod tests {
         assert_eq!(parsed.get("wall_clock_ms"), Some(&12));
     }
 
+    const BASELINE: &str = include_str!("../../../ci/BENCH_baseline.json");
+
+    #[test]
+    fn compare_gates_every_baseline_key() {
+        let base = parse(BASELINE);
+        assert!(!base.is_empty(), "baseline must parse");
+        let pairs: Vec<(&str, u64)> = base.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        // A report carrying the baseline plus informational extras passes.
+        let report = render(&[pairs.clone(), vec![("wall_clock_ms", 9000)]].concat());
+        let diff = compare(&report, BASELINE);
+        assert!(diff.passed(), "{:?}", diff.regressions);
+        assert_eq!(diff.matches.len(), base.len());
+
+        // Altering any single baseline value fails the gate on exactly
+        // that key.
+        for (key, &want) in &base {
+            let bad: Vec<(&str, u64)> = pairs
+                .iter()
+                .map(|&(k, v)| (k, if k == key { v ^ 1 } else { v }))
+                .collect();
+            let diff = compare(&report, &render(&bad));
+            assert!(!diff.passed(), "altering {key} must fail the gate");
+            assert_eq!(diff.regressions, vec![(key.clone(), want, want ^ 1)]);
+        }
+    }
+
     #[test]
     fn compare_flags_only_gated_divergence() {
-        let base = render(&[
+        let gated = [
             ("hits", 448),
             ("recomputes", 64),
             ("evictions", 64),
@@ -191,120 +141,110 @@ mod tests {
             ("serve_shed", 6),
             ("serve_coalesced", 1),
             ("serve_quota_evictions", 5),
-            ("wall_clock_ms", 3),
-        ]);
-        // Identical gated counters, different wall clock + extra keys.
-        let report = render(&[
-            ("hits", 448),
-            ("recomputes", 64),
-            ("evictions", 64),
-            ("coalesced_hits", 7),
-            ("duplicates", 0),
-            ("serve_shed", 6),
-            ("serve_coalesced", 1),
-            ("serve_quota_evictions", 5),
+        ];
+        let base = render(&gated);
+        // Identical gated counters; wall clock and extra keys differ
+        // freely because the baseline does not carry them.
+        let extras = [
             ("wall_clock_ms", 9000),
             ("perf_stress_latency_p99_ticks", 42),
-        ]);
-        let diff = compare_gated(&report, &base);
+        ];
+        let report = render(&[&gated[..], &extras[..]].concat());
+        let diff = compare(&report, &base);
         assert!(diff.passed(), "{:?}", diff.regressions);
-        assert_eq!(diff.matches.len(), GATED.len());
+        assert_eq!(diff.matches.len(), gated.len());
 
         let bad = report.replace("\"hits\": 448", "\"hits\": 447");
-        let diff = compare_gated(&bad, &base);
+        let diff = compare(&bad, &base);
         assert!(!diff.passed());
         assert_eq!(diff.regressions, vec![("hits".to_string(), 447, 448)]);
     }
 
-    #[test]
-    fn compare_reports_missing_keys() {
-        let base = render(&[("hits", 1)]);
-        let report = render(&[("hits", 1)]);
-        let diff = compare_gated(&report, &base);
-        assert_eq!(diff.missing.len(), GATED.len() - 1);
+    /// Asserts the committed baseline carries every key of `slice`, a
+    /// report equal to it passes, and setting `key` to `to` in the
+    /// report fails the gate on exactly that key.
+    fn assert_gates_slice(slice: &[&str], key: &str, to: u64) {
+        let base = parse(BASELINE);
+        for k in slice {
+            assert!(base.contains_key(*k), "baseline must gate {k}");
+        }
+        assert!(compare(BASELINE, BASELINE).passed());
+        let want = base[key];
+        assert_ne!(want, to);
+        let bad = BASELINE.replace(&format!("\"{key}\": {want}"), &format!("\"{key}\": {to}"));
+        let diff = compare(&bad, BASELINE);
         assert!(!diff.passed());
+        assert_eq!(diff.regressions, vec![(key.to_string(), to, want)]);
     }
 
     #[test]
     fn compare_keys_gates_the_recovery_slice() {
-        let base = render(&[
-            ("segments_recovered", 2),
-            ("entries_rehydrated", 3),
-            ("checksum_rejects", 1),
-            ("manifest_swaps", 1),
-        ]);
-        let diff = compare_keys(&base, &base, &GATED_RECOVERY);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_RECOVERY.len());
-
-        let bad = base.replace("\"checksum_rejects\": 1", "\"checksum_rejects\": 4");
-        let diff = compare_keys(&bad, &base, &GATED_RECOVERY);
-        assert_eq!(
-            diff.regressions,
-            vec![("checksum_rejects".to_string(), 4, 1)]
+        assert_gates_slice(
+            &[
+                "segments_recovered",
+                "entries_rehydrated",
+                "checksum_rejects",
+                "manifest_swaps",
+            ],
+            "checksum_rejects",
+            4,
         );
     }
 
     #[test]
     fn compare_keys_gates_the_cluster_slice() {
-        let base = render(&[
-            ("remote_hits", 207),
-            ("remote_misses", 0),
-            ("transfer_bytes", 585728),
-            ("rebalance_moves", 15),
-            ("replica_hits", 220),
-            ("replica_invalidations", 6),
-        ]);
-        let diff = compare_keys(&base, &base, &GATED_CLUSTER);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_CLUSTER.len());
-
-        let bad = base.replace("\"replica_hits\": 220", "\"replica_hits\": 0");
-        let diff = compare_keys(&bad, &base, &GATED_CLUSTER);
-        assert_eq!(diff.regressions, vec![("replica_hits".to_string(), 0, 220)]);
+        assert_gates_slice(
+            &[
+                "remote_hits",
+                "remote_misses",
+                "transfer_bytes",
+                "rebalance_moves",
+                "replica_hits",
+                "replica_invalidations",
+            ],
+            "replica_hits",
+            0,
+        );
     }
 
     #[test]
     fn compare_keys_gates_the_latency_slice() {
-        let base = render(&[
-            ("latency_served", 18282),
-            ("latency_p99_paper", 20),
-            ("latency_p99_delayed", 1),
-            ("latency_mad_evictions", 1576),
-            ("latency_ttna_rejects", 6),
-            ("latency_delay_ticks_saved", 233100),
-        ]);
-        let diff = compare_keys(&base, &base, &GATED_LATENCY);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_LATENCY.len());
-
-        let bad = base.replace("\"latency_p99_delayed\": 1", "\"latency_p99_delayed\": 20");
-        let diff = compare_keys(&bad, &base, &GATED_LATENCY);
-        assert_eq!(
-            diff.regressions,
-            vec![("latency_p99_delayed".to_string(), 20, 1)]
+        assert_gates_slice(
+            &[
+                "latency_served",
+                "latency_p99_paper",
+                "latency_p99_delayed",
+                "latency_mad_evictions",
+                "latency_ttna_rejects",
+                "latency_delay_ticks_saved",
+            ],
+            "latency_p99_delayed",
+            20,
         );
     }
 
     #[test]
     fn compare_keys_gates_the_script_slice() {
-        let base = render(&[
-            ("script_programs_fuzzed", 40),
-            ("script_divergences", 0),
-            ("script_lowered_nodes", 1200),
-            ("script_corpus_scripts", 7),
-            ("script_corpus_digest", 12345),
-        ]);
-        let diff = compare_keys(&base, &base, &GATED_SCRIPT);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_SCRIPT.len());
-
-        let bad = base.replace("\"script_divergences\": 0", "\"script_divergences\": 3");
-        let diff = compare_keys(&bad, &base, &GATED_SCRIPT);
-        assert_eq!(
-            diff.regressions,
-            vec![("script_divergences".to_string(), 3, 0)]
+        assert_gates_slice(
+            &[
+                "script_programs_fuzzed",
+                "script_divergences",
+                "script_lowered_nodes",
+                "script_corpus_scripts",
+                "script_corpus_digest",
+            ],
+            "script_divergences",
+            3,
         );
+    }
+
+    #[test]
+    fn compare_reports_missing_keys() {
+        let base = render(&[("hits", 1), ("evictions", 2)]);
+        let report = render(&[("hits", 1)]);
+        let diff = compare(&report, &base);
+        assert_eq!(diff.missing, vec!["evictions".to_string()]);
+        assert!(!diff.passed());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use memphis_gpusim::GpuDevice;
 use memphis_matrix::ops::binary::{binary_scalar, BinaryOp};
 use memphis_matrix::ops::unary::UnaryOp;
 use memphis_matrix::rand_gen::rand_uniform;
-use memphis_matrix::BlockedMatrix;
+use memphis_matrix::{hash, BlockedMatrix};
 use memphis_sparksim::{SparkContext, StorageLevel};
 use memphis_workloads::harness::Backends;
 use std::sync::Arc;
@@ -415,7 +415,7 @@ impl ConcGateParams {
 
 /// Deterministic counters of the concurrency gate. Every field except
 /// `elapsed` must be bit-identical run over run, thread count over
-/// thread count; `ci/bench_gate.sh` fails the build when one regresses
+/// thread count; `bench_gate` fails the build when one regresses
 /// against the committed baseline.
 #[derive(Debug, Clone)]
 pub struct ConcGateOutcome {
@@ -919,7 +919,7 @@ pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
     use memphis_workloads::script;
 
     let t0 = Instant::now();
-    let mut corpus_digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut corpus_digest = hash::FNV_OFFSET;
     let mut lowered_nodes = 0u64;
     let mut corpus_scripts = 0u64;
     for (name, src) in script::CORPUS {
@@ -932,8 +932,7 @@ pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
             script::digests_agree(&digests),
             "corpus script {name} diverged: {digests:?}"
         );
-        corpus_digest ^= digests[0].1;
-        corpus_digest = corpus_digest.wrapping_mul(0x0000_0100_0000_01b3);
+        corpus_digest = hash::fold(corpus_digest, digests[0].1);
         corpus_scripts += 1;
     }
 

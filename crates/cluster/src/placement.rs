@@ -21,19 +21,11 @@
 //! iteration-order dependence. [`argmax_weight`] is the single place
 //! that implements the rule.
 
+use memphis_matrix::hash::mix;
 use std::cmp::Reverse;
 
 /// Identifies one cache node in the simulated cluster.
 pub type NodeId = u16;
-
-/// SplitMix64 finalizer: a bijective avalanche mix.
-#[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// HRW weight of `node` for the item with content hash `hash` under
 /// cluster `seed`. Pure: no global state, no allocation.
@@ -78,6 +70,12 @@ mod tests {
     /// Node ids chosen to stress the tie-break ordering: extremes,
     /// adjacent values, and ids whose low bits collide after shifting.
     const ADVERSARIAL_IDS: [NodeId; 6] = [0, 1, 2, u16::MAX, u16::MAX - 1, 0x8000];
+
+    #[test]
+    fn hrw_weight_is_pinned() {
+        // Captured before the SplitMix64 copy moved to `memphis_matrix::hash`.
+        assert_eq!(hrw_weight(42, 3, 0xdead_beef), 0x0b5e_343d_562b_97d8);
+    }
 
     #[test]
     fn owner_is_independent_of_member_order() {

@@ -395,12 +395,11 @@ impl CacheBackend for LocalBackend {
 /// matrices become CRC-checksummed records keyed by lineage
 /// `content_hash` (with their serialized lineage embedded for
 /// re-interning), committed through an append-only manifest, read back
-/// on hit and optionally promoted to memory again. With a persistent
+/// on hit and promoted to memory again. With a persistent
 /// directory the tier survives restarts: construction recovers the
 /// manifest and hands verified entry metadata to the cache.
 pub struct DiskBackend {
     store: SegmentStore,
-    promote_on_hit: bool,
     policy: EvictionPolicy,
     /// Persistent stores keep their directory on drop; classic
     /// cache-unique spill directories are removed.
@@ -425,7 +424,6 @@ impl DiskBackend {
         let used = recovered.iter().map(|r| r.matrix_len).sum();
         Self {
             store,
-            promote_on_hit: config.promote_on_disk_hit,
             policy: EvictionPolicy::with_policy(config.policy),
             persistent: config.persist_dir.is_some(),
             used: Mutex::new(used),
@@ -542,14 +540,12 @@ impl CacheBackend for DiskBackend {
                     }
                 });
                 ReuseStats::inc(&self.stats.hits_disk);
-                if self.promote_on_hit {
-                    let promoted = reg
-                        .downcast::<LocalBackend>(BackendId::Local)
-                        .map(|local| local.admit_existing(map, key, m.clone()))
-                        .unwrap_or(false);
-                    if promoted {
-                        self.discard(hash, size);
-                    }
+                let promoted = reg
+                    .downcast::<LocalBackend>(BackendId::Local)
+                    .map(|local| local.admit_existing(map, key, m.clone()))
+                    .unwrap_or(false);
+                if promoted {
+                    self.discard(hash, size);
                 }
                 Materialized::Hit(CachedObject::Matrix(m))
             }
@@ -664,6 +660,10 @@ impl Drop for DiskBackend {
 // Spark (distributed RDDs)
 // ----------------------------------------------------------------------
 
+/// Number of unmaterialized reuses of an RDD entry before an
+/// asynchronous `count()` job materializes it (paper default: 3).
+pub const MATERIALIZE_AFTER_MISSES: u64 = 3;
+
 /// Follow-up work a Spark materialization schedules for after the shard
 /// lock is released (lazy GC and async `count()` both take cluster
 /// locks, so they must not run under a shard lock).
@@ -679,7 +679,6 @@ enum SparkFollowUp {
 pub struct SparkTier {
     backend: SparkBackend,
     policy: EvictionPolicy,
-    materialize_after_misses: u64,
     est: Mutex<usize>,
     stats: Arc<ReuseStats>,
 }
@@ -690,7 +689,6 @@ impl SparkTier {
         Self {
             backend,
             policy: EvictionPolicy::with_policy(config.policy),
-            materialize_after_misses: config.materialize_after_misses,
             est: Mutex::new(0),
             stats,
         }
@@ -809,7 +807,7 @@ impl CacheBackend for SparkTier {
                 // applies, but count the miss toward async
                 // materialization.
                 e.misses += 1;
-                let trigger = !e.materialize_triggered && e.misses >= self.materialize_after_misses;
+                let trigger = !e.materialize_triggered && e.misses >= MATERIALIZE_AFTER_MISSES;
                 if trigger {
                     e.materialize_triggered = true;
                     SparkFollowUp::Trigger(rdd.clone())

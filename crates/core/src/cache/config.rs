@@ -28,18 +28,10 @@ pub struct CacheConfig {
     /// Driver-local cache budget in bytes (paper: 5 GB default on the
     /// driver; scaled here).
     pub local_budget: usize,
-    /// Fraction of Spark storage memory usable for reuse-persisted RDDs
-    /// (paper: 80%, rest reserved for broadcasts and compiler checkpoints).
-    pub spark_reuse_fraction: f64,
-    /// Number of unmaterialized reuses of an RDD entry before an
-    /// asynchronous `count()` job materializes it (paper default: 3).
-    pub materialize_after_misses: u64,
     /// Default delay factor n for delayed caching (1 = no delay).
     pub default_delay: u32,
     /// Directory for disk-evicted local binaries.
     pub spill_dir: PathBuf,
-    /// Promote disk-evicted entries back to memory on reuse.
-    pub promote_on_disk_hit: bool,
     /// Spill proven-reusable local entries to disk on eviction (disable to
     /// always drop — recompute-from-lineage replaces disk reads).
     pub spill_to_disk: bool,
@@ -82,11 +74,8 @@ impl CacheConfig {
     pub fn test() -> Self {
         Self {
             local_budget: 1 << 20,
-            spark_reuse_fraction: 0.8,
-            materialize_after_misses: 3,
             default_delay: 1,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
-            promote_on_disk_hit: true,
             spill_to_disk: true,
             shards: 8,
             persist_dir: None,
@@ -103,11 +92,8 @@ impl CacheConfig {
     pub fn benchmark() -> Self {
         Self {
             local_budget: 64 << 20,
-            spark_reuse_fraction: 0.8,
-            materialize_after_misses: 3,
             default_delay: 1,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
-            promote_on_disk_hit: true,
             spill_to_disk: true,
             shards: 16,
             persist_dir: None,
@@ -129,12 +115,14 @@ impl Default for CacheConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::backends::MATERIALIZE_AFTER_MISSES;
+    use crate::cache::spark::SPARK_REUSE_FRACTION;
 
     #[test]
     fn defaults_match_paper_parameters() {
         let c = CacheConfig::test();
-        assert_eq!(c.spark_reuse_fraction, 0.8);
-        assert_eq!(c.materialize_after_misses, 3);
+        assert_eq!(SPARK_REUSE_FRACTION, 0.8);
+        assert_eq!(MATERIALIZE_AFTER_MISSES, 3);
         assert_eq!(c.default_delay, 1);
     }
 }

@@ -41,6 +41,7 @@
 //! removed.
 
 use crate::stats::ReuseStats;
+use memphis_matrix::hash;
 use memphis_sparksim::FaultPlan;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -258,14 +259,9 @@ pub fn empty_digest() -> u64 {
 /// Order-independent FNV digest over the committed (hash, len) set.
 fn digest_of(index: &HashMap<u64, RecordLoc>) -> u64 {
     let sorted: BTreeMap<u64, u64> = index.iter().map(|(h, l)| (*h, l.len)).collect();
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
-    for (h, len) in sorted {
-        for b in h.to_le_bytes().into_iter().chain(len.to_le_bytes()) {
-            d ^= b as u64;
-            d = d.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    d
+    sorted.into_iter().fold(hash::FNV_OFFSET, |d, (h, len)| {
+        hash::fnv1a(hash::fnv1a(d, &h.to_le_bytes()), &len.to_le_bytes())
+    })
 }
 
 fn segment_path(dir: &Path, seg: u64) -> PathBuf {

@@ -374,7 +374,7 @@ impl LineageCache {
 
     /// Attaches the simulated Spark cluster as a registered tier.
     pub fn with_spark(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let b = SparkBackend::new(sc, self.config.spark_reuse_fraction);
+        let b = SparkBackend::new(sc);
         self.registry.register(Arc::new(SparkTier::new(
             b,
             &self.config,
@@ -386,7 +386,7 @@ impl LineageCache {
     /// Attaches a Spark tier in deterministic (inline materialization)
     /// mode for tests.
     pub fn with_spark_sync(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let mut b = SparkBackend::new(sc, self.config.spark_reuse_fraction);
+        let mut b = SparkBackend::new(sc);
         b.sync_materialize = true;
         self.registry.register(Arc::new(SparkTier::new(
             b,

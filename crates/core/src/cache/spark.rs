@@ -7,6 +7,11 @@ use memphis_sparksim::{RddRef, SparkContext};
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// Fraction of Spark storage memory usable for reuse-persisted RDDs
+/// (paper: 80%, the rest reserved for broadcasts and compiler
+/// checkpoints).
+pub const SPARK_REUSE_FRACTION: f64 = 0.8;
+
 /// The Spark backend attachment of the lineage cache.
 pub struct SparkBackend {
     /// Driver handle to the simulated cluster.
@@ -21,9 +26,10 @@ pub struct SparkBackend {
 }
 
 impl SparkBackend {
-    /// Attaches a cluster, reserving `reuse_fraction` of storage memory.
-    pub fn new(sc: SparkContext, reuse_fraction: f64) -> Self {
-        let reuse_budget = (sc.storage_capacity() as f64 * reuse_fraction) as usize;
+    /// Attaches a cluster, reserving [`SPARK_REUSE_FRACTION`] of its
+    /// storage memory for reuse.
+    pub fn new(sc: SparkContext) -> Self {
+        let reuse_budget = (sc.storage_capacity() as f64 * SPARK_REUSE_FRACTION) as usize;
         Self {
             sc,
             reuse_budget,
@@ -161,7 +167,7 @@ mod tests {
     #[test]
     fn budget_is_fraction_of_storage() {
         let sc = ctx();
-        let b = SparkBackend::new(sc.clone(), 0.8);
+        let b = SparkBackend::new(sc.clone());
         assert_eq!(
             b.reuse_budget,
             (sc.storage_capacity() as f64 * 0.8) as usize
@@ -171,7 +177,7 @@ mod tests {
     #[test]
     fn lazy_gc_cleans_shuffles_and_broadcasts() {
         let sc = ctx();
-        let backend = SparkBackend::new(sc.clone(), 0.8);
+        let backend = SparkBackend::new(sc.clone());
         let stats = StdArc::new(ReuseStats::default());
         let m = Matrix::filled(16, 4, 1.0);
         let b = BlockedMatrix::from_dense(&m, 4).unwrap();
@@ -207,7 +213,7 @@ mod tests {
     #[test]
     fn lazy_gc_respects_protected_sets() {
         let sc = ctx();
-        let backend = SparkBackend::new(sc.clone(), 0.8);
+        let backend = SparkBackend::new(sc.clone());
         let stats = StdArc::new(ReuseStats::default());
         let m = Matrix::filled(8, 4, 1.0);
         let b = BlockedMatrix::from_dense(&m, 4).unwrap();
@@ -240,7 +246,7 @@ mod tests {
         let mut cfg = SparkConfig::local_test();
         cfg.fault_plan = memphis_sparksim::FaultPlan::seeded(7).with_executor_kill(u64::MAX, 0, 0); // active plan, never fires
         let sc = SparkContext::new(cfg);
-        let backend = SparkBackend::new(sc.clone(), 0.8);
+        let backend = SparkBackend::new(sc.clone());
         let stats = StdArc::new(ReuseStats::default());
         let m = Matrix::filled(16, 4, 1.0);
         let b = BlockedMatrix::from_dense(&m, 4).unwrap();
@@ -285,7 +291,7 @@ mod tests {
     #[test]
     fn sync_materialize_runs_inline() {
         let sc = ctx();
-        let mut backend = SparkBackend::new(sc.clone(), 0.8);
+        let mut backend = SparkBackend::new(sc.clone());
         backend.sync_materialize = true;
         let stats = StdArc::new(ReuseStats::default());
         let m = Matrix::filled(8, 4, 1.0);

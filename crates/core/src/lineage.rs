@@ -28,6 +28,7 @@
 //! allocation-free, lock-free-on-probe identity — the same trade
 //! SystemDS-style lineage dedup makes.
 
+use memphis_matrix::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -103,13 +104,6 @@ pub struct LineageItem {
     pub hash: u64,
     /// DAG height: leaves have height 1.
     pub height: u32,
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -232,15 +226,12 @@ fn intern_node(
 impl LineageItem {
     /// Creates an operator node over `inputs`.
     pub fn new(opcode: &str, data: Vec<String>, inputs: Vec<LItem>) -> LItem {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut hash, opcode.as_bytes());
+        let mut hash = fnv1a(FNV_OFFSET, opcode.as_bytes());
         for d in &data {
-            fnv(&mut hash, &[0xfe]);
-            fnv(&mut hash, d.as_bytes());
+            hash = fnv1a(fnv1a(hash, &[0xfe]), d.as_bytes());
         }
         for i in &inputs {
-            fnv(&mut hash, &[0xff]);
-            fnv(&mut hash, &i.hash.to_le_bytes());
+            hash = fnv1a(fnv1a(hash, &[0xff]), &i.hash.to_le_bytes());
         }
         let height = 1 + inputs.iter().map(|i| i.height).max().unwrap_or(0);
         intern_node(Arc::from(opcode), data, inputs, hash, height)
@@ -552,6 +543,17 @@ mod tests {
 
     fn mm(a: &LItem, b: &LItem) -> LItem {
         LineageItem::new("ba+*", vec![], vec![a.clone(), b.clone()])
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // Captured before the FNV loop moved to `memphis_matrix::hash`;
+        // persisted durable-tier records are keyed by these values.
+        let x = LineageItem::leaf("X");
+        let y = LineageItem::leaf("y");
+        let t = LineageItem::new("ba+*", vec!["2".to_string()], vec![x.clone(), y]);
+        assert_eq!(x.hash, 0xad8d_d47a_cfe7_cf0b);
+        assert_eq!(t.lid.content_hash(), 0x1918_804c_0248_990e);
     }
 
     #[test]

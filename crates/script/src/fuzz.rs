@@ -12,15 +12,7 @@
 
 use crate::ast::Stmt;
 use crate::{compile, parse, print_source};
-
-/// SplitMix64 mix (identical constants to `workloads::latency` and
-/// sparksim's fault plan).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use memphis_matrix::hash::mix;
 
 /// A deterministic decision stream for one generated program.
 struct Rng {

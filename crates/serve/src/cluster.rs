@@ -13,16 +13,14 @@
 //! cross-tenant reuse works across node boundaries.
 
 use crate::request::{Request, TenantId, Work};
-use crate::rng;
+use crate::rng::salt;
 use crate::scheduler::{shared_item, shared_payload};
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, ClusterStatsSnapshot, NodeId};
 use memphis_core::CachedObject;
+use memphis_matrix::hash;
 use memphis_workloads::pipelines;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Tenant-routing salt (distinct from the generator salts).
-const SALT_ROUTE: u64 = 0xc105;
 
 /// Cost charged for a shared serve item (mirrors the scheduler).
 const ITEM_COST: f64 = 50.0;
@@ -122,9 +120,9 @@ impl ClusterDispatcher {
     /// The node a tenant's requests land on: HRW over the mixed tenant
     /// id, so tenants re-route minimally when membership changes.
     pub fn route(&self, tenant: TenantId) -> NodeId {
-        self.cluster.route_hash(rng::hash(
+        self.cluster.route_hash(hash::seeded4(
             self.cfg.seed,
-            SALT_ROUTE,
+            salt::ROUTE,
             [tenant as u64, 0, 0, 0],
         ))
     }
@@ -137,11 +135,8 @@ impl ClusterDispatcher {
         let mut order: Vec<&Request> = requests.iter().collect();
         order.sort_by_key(|r| (r.arrival, r.id));
 
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x1000_0000_01b3);
-        };
+        let mut digest = hash::FNV_OFFSET;
+        let mut fold = |v: u64| digest = hash::fold(digest, v);
         let mut checks = Vec::new();
         let mut node_requests: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut shared = 0u64;

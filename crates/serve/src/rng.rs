@@ -1,33 +1,8 @@
-//! SplitMix64 decision hashing — the same idiom as
-//! `memphis_sparksim::fault`: every probabilistic serving decision (task
-//! faults, arrival jitter, request shapes) is a pure function of
-//! `(seed, salt, coordinates)`, so a run is bit-identical across
-//! repetitions and worker-thread counts.
-
-/// SplitMix64 finalizer: turns `(seed, coordinates)` into an
-/// i.i.d.-looking decision stream.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Combines the seed, a per-decision-kind salt, and up to four
-/// coordinates into a raw 64-bit hash.
-pub(crate) fn hash(seed: u64, salt: u64, coords: [u64; 4]) -> u64 {
-    let mut h = mix(seed ^ salt.wrapping_mul(0xa076_1d64_78bd_642f));
-    for c in coords {
-        h = mix(h ^ c);
-    }
-    h
-}
-
-/// Like [`hash`], folded to a uniform value in `[0, 1)`.
-pub(crate) fn decide(seed: u64, salt: u64, coords: [u64; 4]) -> f64 {
-    // 53 bits of mantissa → uniform in [0, 1).
-    (hash(seed, salt, coords) >> 11) as f64 / (1u64 << 53) as f64
-}
+//! Decision salts of the serving layer. Every probabilistic serving
+//! decision (task faults, arrival jitter, request shapes, tenant
+//! routing) is `memphis_matrix::hash::seeded4(seed, salt, coordinates)`
+//! — the same decision hash as sparksim's `FaultPlan` — so a run is
+//! bit-identical across repetitions and worker-thread counts.
 
 /// Decision-kind salts (arbitrary, distinct).
 pub(crate) mod salt {
@@ -37,14 +12,18 @@ pub(crate) mod salt {
     pub const ARRIVAL: u64 = 0xa771;
     /// Request shape (priority, item, size, service time).
     pub const SHAPE: u64 = 0x51a9;
+    /// Tenant routing in the cluster dispatcher.
+    pub const ROUTE: u64 = 0xc105;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memphis_matrix::hash::{seeded4, unit};
 
     #[test]
     fn decisions_are_pure_and_uniformish() {
+        let decide = |seed, salt, coords| unit(seeded4(seed, salt, coords));
         assert_eq!(
             decide(42, salt::FAULT, [1, 2, 3, 4]),
             decide(42, salt::FAULT, [1, 2, 3, 4])

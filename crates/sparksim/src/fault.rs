@@ -19,38 +19,14 @@
 //! same seed, independent of executor thread count, and the chaos suite is
 //! reproducible in CI.
 
+use memphis_matrix::hash;
 use std::fmt;
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function used to turn
-/// `(seed, coordinates)` into an i.i.d.-looking decision stream.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Combines the seed, a per-fault-kind salt, and up to four coordinates
-/// into a uniform value in `[0, 1)`.
-fn decide(seed: u64, salt: u64, coords: [u64; 4]) -> f64 {
-    let mut h = mix(seed ^ salt.wrapping_mul(0xa076_1d64_78bd_642f));
-    for c in coords {
-        h = mix(h ^ c);
-    }
-    // 53 bits of mantissa → uniform in [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Stable tag for an RDD used in cache-drop decisions: a hash of the
-/// operator *name* (assigned at creation), which — unlike the RDD id — is
-/// identical across repeated runs of the same driver program.
+/// Stable tag for an RDD used in cache-drop decisions: an FNV-1a hash of
+/// the operator *name* (assigned at creation), which — unlike the RDD
+/// id — is identical across repeated runs of the same driver program.
 pub fn name_tag(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    hash::fnv1a(hash::FNV_OFFSET, name.as_bytes())
 }
 
 /// A planned executor loss: before stage `stage` of job `job` starts, the
@@ -204,22 +180,26 @@ impl FaultPlan {
             || self.disk_kill_at_sync.is_some()
     }
 
+    /// The plan's uniform `[0, 1)` draw for fault kind `salt` at `coords`.
+    fn draw(&self, salt: u64, coords: [u64; 4]) -> f64 {
+        hash::unit(hash::seeded4(self.seed, salt, coords))
+    }
+
     /// Should the `write_seq`-th durable record write be torn?
     pub fn should_tear_disk_write(&self, write_seq: u64) -> bool {
         self.disk_torn_write_rate > 0.0
-            && decide(self.seed, 4, [write_seq, 0, 0, 0]) < self.disk_torn_write_rate
+            && self.draw(4, [write_seq, 0, 0, 0]) < self.disk_torn_write_rate
     }
 
     /// Should the `write_seq`-th durable record be silently bit-flipped?
     pub fn should_corrupt_disk_record(&self, write_seq: u64) -> bool {
-        self.disk_corrupt_rate > 0.0
-            && decide(self.seed, 5, [write_seq, 0, 0, 0]) < self.disk_corrupt_rate
+        self.disk_corrupt_rate > 0.0 && self.draw(5, [write_seq, 0, 0, 0]) < self.disk_corrupt_rate
     }
 
     /// Should the `sync_seq`-th fsync lie (lose unsynced bytes + crash)?
     pub fn should_drop_fsync(&self, sync_seq: u64) -> bool {
         self.disk_partial_fsync_rate > 0.0
-            && decide(self.seed, 6, [sync_seq, 0, 0, 0]) < self.disk_partial_fsync_rate
+            && self.draw(6, [sync_seq, 0, 0, 0]) < self.disk_partial_fsync_rate
     }
 
     /// Is `sync_seq` the planned deterministic kill point?
@@ -238,22 +218,21 @@ impl FaultPlan {
     /// Should the given task attempt fail at launch?
     pub fn should_fail_task(&self, job: u64, stage: u64, partition: usize, attempt: u64) -> bool {
         self.task_failure_rate > 0.0
-            && decide(self.seed, 1, [job, stage, partition as u64, attempt])
-                < self.task_failure_rate
+            && self.draw(1, [job, stage, partition as u64, attempt]) < self.task_failure_rate
     }
 
     /// Should this cached partition be dropped at the start of `job`?
     /// `tag` is the RDD's [`name_tag`] (stored by the block manager).
     pub fn should_drop_cached(&self, job: u64, tag: u64, partition: usize) -> bool {
         self.cached_drop_rate > 0.0
-            && decide(self.seed, 2, [job, tag, partition as u64, 0]) < self.cached_drop_rate
+            && self.draw(2, [job, tag, partition as u64, 0]) < self.cached_drop_rate
     }
 
     /// Should this retained shuffle map output be dropped at the start of
     /// `job`? Keyed by map partition only (shuffle ids are not run-stable).
     pub fn should_drop_shuffle_output(&self, job: u64, map_partition: usize) -> bool {
         self.shuffle_drop_rate > 0.0
-            && decide(self.seed, 3, [job, map_partition as u64, 0, 0]) < self.shuffle_drop_rate
+            && self.draw(3, [job, map_partition as u64, 0, 0]) < self.shuffle_drop_rate
     }
 
     /// Executors scheduled to die right before (job, stage) starts.
@@ -443,6 +422,8 @@ mod tests {
     fn name_tag_is_stable() {
         assert_eq!(name_tag("X"), name_tag("X"));
         assert_ne!(name_tag("X"), name_tag("Y"));
+        // Captured before the FNV loop moved to `memphis_matrix::hash`.
+        assert_eq!(name_tag("map"), 0x080f_5919_176d_2d91);
     }
 
     #[test]

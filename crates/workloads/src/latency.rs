@@ -1,5 +1,5 @@
 //! Skewed multi-tenant latency harness: the delayed-hits demonstration
-//! trace behind `exp_latency` and the `GATED_LATENCY` bench slice.
+//! trace behind `exp_latency` and the `latency_*` keys of the bench gate.
 //!
 //! Three request classes share one under-provisioned cache:
 //!
@@ -41,23 +41,8 @@ use memphis_core::cache::{LineageCache, MemoryPressure, Probed};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_core::{CacheConfig, CachePolicy};
+use memphis_matrix::hash::{self, seeded, unit};
 use std::sync::Arc;
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn hash(seed: u64, salt: u64, coord: u64) -> u64 {
-    mix(mix(seed ^ mix(salt)) ^ coord)
-}
-
-/// Uniform in [0, 1) from the top 53 bits.
-fn decide(seed: u64, salt: u64, coord: u64) -> f64 {
-    (hash(seed, salt, coord) >> 11) as f64 / (1u64 << 53) as f64
-}
 
 mod salt {
     pub const FANOUT: u64 = 0x1a7e_0001;
@@ -123,7 +108,7 @@ pub struct LatencyParams {
 
 impl LatencyParams {
     /// The gated configuration: the full skewed trace behind
-    /// `exp_latency` and the `GATED_LATENCY` baseline.
+    /// `exp_latency` and the `latency_*` baseline keys.
     pub fn gate(seed: u64) -> Self {
         Self {
             seed,
@@ -242,11 +227,8 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
     config.policy = policy;
     let cache = LineageCache::new(config);
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x1000_0000_01b3);
-    };
+    let mut digest = hash::FNV_OFFSET;
+    let mut fold = |v: u64| digest = hash::fold(digest, v);
     let mut served = 0u64;
     let mut coalesced_arrivals = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
@@ -262,7 +244,7 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
         // Deterministic arrival groups, in class/index order.
         let mut groups: Vec<Group> = Vec::new();
         for i in 0..p.fanout_items {
-            if decide(p.seed, salt::FANOUT, (round * 1024 + i) as u64) < p.fanout_prob {
+            if unit(seeded(p.seed, salt::FANOUT, (round * 1024 + i) as u64)) < p.fanout_prob {
                 groups.push(Group {
                     item: latency_item("fan", i),
                     class_salt: salt::FANOUT,
@@ -275,7 +257,7 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
             }
         }
         for i in 0..p.steady_items {
-            if decide(p.seed, salt::STEADY, (round * 1024 + i) as u64) < p.steady_prob {
+            if unit(seeded(p.seed, salt::STEADY, (round * 1024 + i) as u64)) < p.steady_prob {
                 groups.push(Group {
                     item: latency_item("std", i),
                     class_salt: salt::STEADY,
@@ -288,7 +270,7 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
             }
         }
         for i in 0..p.cold_items {
-            if decide(p.seed, salt::COLD, (round * 1024 + i) as u64) < p.cold_prob {
+            if unit(seeded(p.seed, salt::COLD, (round * 1024 + i) as u64)) < p.cold_prob {
                 groups.push(Group {
                     item: latency_item("cold", i),
                     class_salt: salt::COLD,

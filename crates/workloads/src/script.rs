@@ -20,7 +20,7 @@ use memphis_engine::recompute_exec::MatrixExecutor;
 use memphis_engine::{EngineConfig, ExecutionContext, ReuseMode, Value};
 use memphis_matrix::ops::binary::{binary_scalar, BinaryOp};
 use memphis_matrix::rand_gen::rand_uniform;
-use memphis_matrix::Matrix;
+use memphis_matrix::{hash, Matrix};
 use memphis_script::{Compiled, ReadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -115,7 +115,7 @@ pub fn sink_digest(
     ctx: &mut ExecutionContext,
     sinks: &[String],
 ) -> EngineResult<(u64, Vec<(String, u64)>)> {
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = hash::FNV_OFFSET;
     let mut per = Vec::new();
     for s in sinks {
         let shape = ctx.value(s)?.shape();
@@ -124,8 +124,7 @@ pub fn sink_digest(
         } else {
             ctx.get_matrix(s)?.fingerprint()
         };
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest = hash::fold(digest, bits);
         per.push((s.clone(), bits));
     }
     Ok((digest, per))

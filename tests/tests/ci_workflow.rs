@@ -95,6 +95,8 @@ fn workflow_uploads_observability_artifacts() {
     assert!(y.contains("exp_latency.metrics.json"));
     assert!(y.contains("exp_script.trace.json"));
     assert!(y.contains("exp_script.metrics.json"));
+    // The counter gate's report rides along with the traces.
+    assert!(y.contains("BENCH_gate.json"));
     assert!(
         y.contains("--trace") && y.contains("--json"),
         "ci.yml: exp run must request trace + metrics artifacts"
@@ -124,24 +126,20 @@ fn invoked_scripts_exist_and_are_executable() {
     #[cfg(unix)]
     use std::os::unix::fs::PermissionsExt;
     let root = repo_root();
-    for script in ["ci.sh", "ci/bench_gate.sh"] {
-        let path = root.join(script);
-        let meta = std::fs::metadata(&path)
-            .unwrap_or_else(|e| panic!("{script} referenced by CI is missing: {e}"));
-        #[cfg(unix)]
-        assert!(
-            meta.permissions().mode() & 0o111 != 0,
-            "{script} must be executable"
-        );
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with("#!"), "{script} must start with a shebang");
-        assert!(
-            body.contains("set -euo pipefail"),
-            "{script} must fail fast"
-        );
-    }
-    // The bench gate compares against a committed baseline that must
-    // carry every gated counter.
+    // `ci.sh` is the only script the workflow invokes.
+    let path = root.join("ci.sh");
+    let meta = std::fs::metadata(&path)
+        .unwrap_or_else(|e| panic!("ci.sh referenced by CI is missing: {e}"));
+    #[cfg(unix)]
+    assert!(
+        meta.permissions().mode() & 0o111 != 0,
+        "ci.sh must be executable"
+    );
+    let body = std::fs::read_to_string(&path).unwrap();
+    assert!(body.starts_with("#!"), "ci.sh must start with a shebang");
+    assert!(body.contains("set -euo pipefail"), "ci.sh must fail fast");
+    // The bench gate compares every key of the committed baseline, so
+    // the baseline must carry every counter the gate is meant to pin.
     let baseline = std::fs::read_to_string(root.join("ci/BENCH_baseline.json")).unwrap();
     for key in [
         "hits",
@@ -152,7 +150,9 @@ fn invoked_scripts_exist_and_are_executable() {
         "serve_shed",
         "serve_coalesced",
         "serve_quota_evictions",
+        "serve_completed",
         "segments_recovered",
+        "entries_recovered",
         "entries_rehydrated",
         "checksum_rejects",
         "manifest_swaps",
@@ -162,6 +162,9 @@ fn invoked_scripts_exist_and_are_executable() {
         "rebalance_moves",
         "replica_hits",
         "replica_invalidations",
+        "handoff_hits",
+        "remote_coalesced",
+        "cluster_computes",
         "latency_served",
         "latency_p99_paper",
         "latency_p99_delayed",
@@ -173,6 +176,15 @@ fn invoked_scripts_exist_and_are_executable() {
         "script_lowered_nodes",
         "script_corpus_scripts",
         "script_corpus_digest",
+        "perf_conc_items",
+        "perf_conc_hits",
+        "perf_conc_duplicates",
+        "perf_stress_requests",
+        "perf_stress_completed",
+        "perf_stress_shed",
+        "perf_stress_ticks",
+        "perf_stress_latency_p50_ticks",
+        "perf_stress_latency_p99_ticks",
     ] {
         assert!(
             baseline.contains(&format!("\"{key}\"")),
@@ -196,7 +208,6 @@ fn ci_script_defines_all_stages() {
         "stage_latency",
         "stage_script",
         "stage_bench_gate",
-        "stage_perf",
         "stage_lint",
     ] {
         assert!(
@@ -204,11 +215,14 @@ fn ci_script_defines_all_stages() {
             "ci.sh: missing stage function {stage}"
         );
     }
-    // The perf stage writes the committed perf report and gates the
-    // deterministic counter slice against the same baseline as the
-    // bench gate.
-    assert!(sh.contains("--bin perf_stress"));
-    assert!(sh.contains("BENCH_pr6.json ci/BENCH_baseline.json"));
+    // One counter gate: the bench_gate stage builds and runs the gate
+    // binary against the committed baseline; there is no second perf
+    // binary or report.
+    assert!(sh.contains("--bin bench_gate"));
+    assert!(sh.contains("bench_gate BENCH_gate.json ci/BENCH_baseline.json"));
+    assert!(!sh.contains("stage_perf") && !sh.contains("perf_stress"));
+    assert!(!repo_root().join("BENCH_pr6.json").exists());
+    assert!(!repo_root().join("ci/bench_gate.sh").exists());
     // The concurrency stage runs under both chaos seeds, parallel and
     // single-threaded.
     assert!(sh.contains("--test concurrency"));
