@@ -91,8 +91,11 @@ stage_obs() {
 
 # Concurrency stress suite: the sharded-cache coalescing invariants
 # (no duplicate computation of a shared lineage id, no deadlock under
-# eviction pressure, thread-count-invariant counters) under both chaos
-# seeds, parallel and single-threaded.
+# eviction pressure, thread-count-invariant counters) and the
+# eviction-victim index under put/probe/pin/unpin churn racing forced
+# evictions (`victim_index_survives_concurrent_churn`: every shard's
+# index matches its entries, the local budget is never overshot) under
+# both chaos seeds, parallel and single-threaded.
 stage_concurrency() {
     for seed in 42 1337; do
         CHAOS_SEED="$seed" cargo test -q -p memphis-integration --test concurrency

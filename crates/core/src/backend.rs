@@ -17,8 +17,9 @@ use crate::cache::entry::{CacheEntry, CachedObject};
 use crate::cache::sharded::{Inflight, ShardedEntryMap};
 use crate::lineage::LineageId;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Identifies the cache tier owning an entry's object.
@@ -59,25 +60,12 @@ impl fmt::Display for BackendId {
 }
 
 /// The unified eviction policy: one scoring function per granularity,
-/// instantiated with per-backend parameters (sample bound).
-#[derive(Debug, Clone, Copy)]
+/// parameterized by the cache's cost model.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EvictionPolicy {
-    /// Candidates examined per eviction: like Spark's sampling-based
-    /// entry selection, scanning a bounded sample keeps eviction O(1)
-    /// amortized instead of O(entries) per insertion.
-    pub sample_limit: usize,
     /// Cost model: `Paper` scores by eq. (1) exactly; `DelayedHits`
     /// adds the TTNA-discounted aggregate-delay term.
     pub policy: CachePolicy,
-}
-
-impl Default for EvictionPolicy {
-    fn default() -> Self {
-        Self {
-            sample_limit: 64,
-            policy: CachePolicy::Paper,
-        }
-    }
 }
 
 impl EvictionPolicy {
@@ -87,13 +75,11 @@ impl EvictionPolicy {
     /// later keeps almost none.
     pub const TTNA_HALF_LIFE: f64 = 64.0;
 
-    /// A policy with the default sample bound and the given cost model.
+    /// A policy with the given cost model.
     pub fn with_policy(policy: CachePolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
+        Self { policy }
     }
+
     /// Eq. (1) score `(r_h + r_m + r_j) * c(o) / s(o)` — smallest is
     /// evicted first.
     pub fn cost_size_score(refs: u64, cost: f64, size: usize) -> f64 {
@@ -151,23 +137,264 @@ impl EvictionPolicy {
     }
 }
 
+/// Position of an evictable entry in its shard's victim index: the
+/// eq. (1) score (order-preserving bits), then the content-derived
+/// lineage hash, then the raw interned id (which only separates equal
+/// content hashes). Comparable across shards, so the global victim is
+/// the minimum of the shard heads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VictimKey {
+    score: u64,
+    id: LineageId,
+}
+
+impl VictimKey {
+    fn new(score: f64, id: LineageId) -> Self {
+        // Map the f64 onto a u64 whose unsigned order is the float
+        // order (sign bit flipped for positives, all bits for
+        // negatives); -0.0 folds into 0.0 so equal scores stay ties.
+        let bits = if score == 0.0 { 0.0f64 } else { score }.to_bits();
+        let score = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | (1 << 63)
+        };
+        Self { score, id }
+    }
+
+    pub(crate) fn id(self) -> LineageId {
+        self.id
+    }
+
+    fn tuple(&self) -> (u64, u64, u32) {
+        (self.score, self.id.content_hash(), self.id.raw())
+    }
+}
+
+impl PartialEq for VictimKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.tuple() == other.tuple()
+    }
+}
+
+impl Eq for VictimKey {}
+
+impl PartialOrd for VictimKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for VictimKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.tuple().cmp(&other.tuple())
+    }
+}
+
+/// The tiers whose entries are eq. (1) eviction candidates, one victim
+/// index per tier (GPU pointers are scored by eq. (2) in the GPU memory
+/// manager; custom tiers evict on their own).
+const INDEXED_TIERS: [BackendId; 3] = [BackendId::Local, BackendId::Disk, BackendId::Spark];
+
+fn tier_slot(tier: BackendId) -> Option<usize> {
+    INDEXED_TIERS.iter().position(|t| *t == tier)
+}
+
+/// The victim index (tier slot) and position of `e` stored under `key`,
+/// or `None` when the entry is no eviction candidate: pinned entries,
+/// local scalars and placeholders, and entries of unindexed tiers.
+fn victim_key(
+    policy: &EvictionPolicy,
+    key: LineageId,
+    e: &CacheEntry,
+) -> Option<(usize, VictimKey)> {
+    let local_non_matrix =
+        e.backend == BackendId::Local && !matches!(e.object, Some(CachedObject::Matrix(_)));
+    if e.pinned || local_non_matrix {
+        return None;
+    }
+    Some((tier_slot(e.backend)?, VictimKey::new(policy.score(e), key)))
+}
+
 /// One shard of the unified probe map: lineage keys to entries (any
-/// backend) plus the shard's in-flight computation markers. Shards are
-/// hash-partitioned and independently locked inside
-/// [`ShardedEntryMap`]; the logical clock is global to the sharded map.
+/// backend), the shard's ordered indexes of eviction candidates (one per
+/// eq. (1) tier: local matrices, disk records, Spark RDDs), and its
+/// in-flight computation markers. Shards are hash-partitioned and
+/// independently locked inside [`ShardedEntryMap`]; the logical clock is
+/// global to the sharded map.
+///
+/// The entry map is private so that every mutation re-keys the index:
+/// entries change only through [`insert`](Self::insert),
+/// [`remove`](Self::remove), [`drain`](Self::drain) and the
+/// [`EntryGuard`] that [`get_mut`](Self::get_mut) returns, which moves
+/// the entry to its new index position when dropped. Scores depend only
+/// on the entry's own fields (no time decay), so an index kept current
+/// at mutation time is exact at selection time.
 #[derive(Default)]
 pub struct EntryMap {
-    /// All entries, placeholders included.
-    pub entries: HashMap<LineageId, CacheEntry>,
+    entries: HashMap<LineageId, CacheEntry>,
+    /// Eviction candidates in eq. (1) victim order, one set per
+    /// `INDEXED_TIERS` slot.
+    evictable: [BTreeSet<VictimKey>; INDEXED_TIERS.len()],
+    policy: EvictionPolicy,
     /// In-flight computations keyed by lineage id: a second session
     /// probing one of these blocks on the marker instead of recomputing.
     pub inflight: HashMap<LineageId, Arc<Inflight>>,
 }
 
 impl EntryMap {
-    /// Creates an empty shard.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty shard scoring victims under `policy`.
+    pub fn new(policy: CachePolicy) -> Self {
+        Self {
+            policy: EvictionPolicy::with_policy(policy),
+            ..Self::default()
+        }
+    }
+
+    /// The entry for `key`.
+    pub fn get(&self, key: &LineageId) -> Option<&CacheEntry> {
+        self.entries.get(key)
+    }
+
+    /// Mutable access to the entry for `key`; the guard re-keys the
+    /// victim index when dropped.
+    pub fn get_mut(&mut self, key: &LineageId) -> Option<EntryGuard<'_>> {
+        let entry = self.entries.get_mut(key)?;
+        let before = victim_key(&self.policy, *key, entry);
+        Some(EntryGuard {
+            key: *key,
+            entry,
+            evictable: &mut self.evictable,
+            policy: self.policy,
+            before,
+        })
+    }
+
+    /// Inserts (or replaces) the entry for `key`, returning the old one.
+    pub fn insert(&mut self, key: LineageId, e: CacheEntry) -> Option<CacheEntry> {
+        let new = victim_key(&self.policy, key, &e);
+        let old = self.entries.insert(key, e);
+        if let Some(old) = &old {
+            self.unindex(key, old);
+        }
+        if let Some((slot, k)) = new {
+            self.evictable[slot].insert(k);
+        }
+        old
+    }
+
+    /// Removes and returns the entry for `key`.
+    pub fn remove(&mut self, key: &LineageId) -> Option<CacheEntry> {
+        let old = self.entries.remove(key)?;
+        self.unindex(*key, &old);
+        Some(old)
+    }
+
+    fn unindex(&mut self, key: LineageId, e: &CacheEntry) {
+        if let Some((slot, k)) = victim_key(&self.policy, key, e) {
+            self.evictable[slot].remove(&k);
+        }
+    }
+
+    /// Removes every entry (in-flight markers stay).
+    pub fn drain(&mut self) -> impl Iterator<Item = (LineageId, CacheEntry)> + '_ {
+        self.evictable.iter_mut().for_each(BTreeSet::clear);
+        self.entries.drain()
+    }
+
+    /// Number of entries (placeholders included).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the shard holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every entry, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (LineageId, &CacheEntry)> {
+        self.entries.iter().map(|(k, e)| (*k, e))
+    }
+
+    /// Number of eviction candidates of `tier` (0 for unindexed tiers).
+    pub fn evictable_len(&self, tier: BackendId) -> usize {
+        tier_slot(tier).map_or(0, |slot| self.evictable[slot].len())
+    }
+
+    /// The eviction candidates of `tier`, lowest eq. (1) score first
+    /// (none for unindexed tiers).
+    pub(crate) fn evictable(
+        &self,
+        tier: BackendId,
+    ) -> impl Iterator<Item = (VictimKey, &CacheEntry)> {
+        tier_slot(tier)
+            .into_iter()
+            .flat_map(|slot| self.evictable[slot].iter())
+            .map(|k| (*k, &self.entries[&k.id]))
+    }
+
+    /// Rebuilds the victim indexes from the entries and compares them
+    /// with the maintained ones (a debug check for tests).
+    pub fn check_index(&self) -> Result<(), String> {
+        let mut rebuilt: [BTreeSet<VictimKey>; INDEXED_TIERS.len()] = Default::default();
+        for (k, e) in &self.entries {
+            if let Some((slot, key)) = victim_key(&self.policy, *k, e) {
+                rebuilt[slot].insert(key);
+            }
+        }
+        for (slot, tier) in INDEXED_TIERS.iter().enumerate() {
+            let (kept, fresh) = (&self.evictable[slot], &rebuilt[slot]);
+            if kept != fresh {
+                return Err(format!(
+                    "{tier} victim index out of date: {} stale and {} missing of {} candidates",
+                    kept.difference(fresh).count(),
+                    fresh.difference(kept).count(),
+                    fresh.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Mutable access to one entry of an [`EntryMap`]. Dropping the guard
+/// moves the entry to the index position its new hits, misses, jobs,
+/// size, cost, pin, backend, TTNA or waiter count give it.
+pub struct EntryGuard<'a> {
+    key: LineageId,
+    entry: &'a mut CacheEntry,
+    evictable: &'a mut [BTreeSet<VictimKey>; INDEXED_TIERS.len()],
+    policy: EvictionPolicy,
+    before: Option<(usize, VictimKey)>,
+}
+
+impl Deref for EntryGuard<'_> {
+    type Target = CacheEntry;
+
+    fn deref(&self) -> &CacheEntry {
+        self.entry
+    }
+}
+
+impl DerefMut for EntryGuard<'_> {
+    fn deref_mut(&mut self) -> &mut CacheEntry {
+        self.entry
+    }
+}
+
+impl Drop for EntryGuard<'_> {
+    fn drop(&mut self) {
+        let after = victim_key(&self.policy, self.key, self.entry);
+        if after == self.before {
+            return;
+        }
+        if let Some((slot, k)) = self.before {
+            self.evictable[slot].remove(&k);
+        }
+        if let Some((slot, k)) = after {
+            self.evictable[slot].insert(k);
+        }
     }
 }
 

@@ -9,15 +9,13 @@
 //!
 //! Tiers receive the *sharded* probe map with no shard lock held and
 //! lock the shards they touch themselves (at most one at a time).
-//! Victim selection scans shards sequentially, so every eviction path
+//! Victim selection visits shards sequentially, so every eviction path
 //! re-validates its victim under the victim's shard lock before acting —
 //! a concurrent session may have promoted, migrated, or removed the
 //! entry between selection and eviction. Pinned entries are filtered out
 //! of victim selection entirely.
 
-use crate::backend::{
-    BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EvictionPolicy, Materialized,
-};
+use crate::backend::{BackendId, BackendRegistry, BackendSnapshot, CacheBackend, Materialized};
 use crate::cache::config::{CacheConfig, CachePolicy};
 use crate::cache::durable::{DurableRecord, RecoveredMeta, SegmentStore};
 use crate::cache::entry::{CacheEntry, CachedObject};
@@ -52,7 +50,7 @@ struct TenantLedger {
 pub struct LocalBackend {
     budget: usize,
     spill_enabled: bool,
-    policy: EvictionPolicy,
+    policy: CachePolicy,
     used: Mutex<usize>,
     tenants: Mutex<TenantLedger>,
     stats: Arc<ReuseStats>,
@@ -69,7 +67,7 @@ impl LocalBackend {
         Self {
             budget: config.local_budget,
             spill_enabled: config.spill_to_disk,
-            policy: EvictionPolicy::with_policy(config.policy),
+            policy: config.policy,
             used: Mutex::new(0),
             tenants: Mutex::new(TenantLedger::default()),
             stats,
@@ -133,7 +131,8 @@ impl LocalBackend {
     }
 
     /// One eviction restricted (when `tenants` is set) to entries owned
-    /// by the given tenants.
+    /// by the given tenants: the lowest entry of the shards' victim
+    /// indexes that passes the restriction.
     fn evict_one_matching(
         &self,
         map: &ShardedEntryMap,
@@ -141,19 +140,15 @@ impl LocalBackend {
         tenants: Option<&HashSet<u16>>,
     ) -> Option<usize> {
         loop {
-            let victim = map.select_victim(&self.policy, |k, e| {
-                e.backend == BackendId::Local
-                    && matches!(e.object, Some(CachedObject::Matrix(_)))
-                    && skip.map(|s| k != s).unwrap_or(true)
-                    && tenants
-                        .map(|set| e.tenant.map(|t| set.contains(&t)).unwrap_or(false))
-                        .unwrap_or(true)
+            let victim = map.select_victim(BackendId::Local, |k, e| {
+                skip != Some(k)
+                    && tenants.is_none_or(|set| e.tenant.is_some_and(|t| set.contains(&t)))
             })?;
             let mut shard = map.lock_of(victim);
             // Re-validate under the shard lock: a concurrent session may
             // have removed, migrated, or pinned the victim since
             // selection; if so, select again.
-            let Some(e) = shard.entries.get_mut(&victim) else {
+            let Some(mut e) = shard.get_mut(&victim) else {
                 continue;
             };
             if e.backend != BackendId::Local || e.pinned {
@@ -164,7 +159,7 @@ impl LocalBackend {
             };
             let msize = m.size_bytes();
             let tenant = e.tenant;
-            if self.policy.policy == CachePolicy::DelayedHits {
+            if self.policy == CachePolicy::DelayedHits {
                 // Leave the victim's TTNA estimate behind so the
                 // pressure-gated admission path can recognize it cycling
                 // back, and count the eviction against the MAD score.
@@ -188,7 +183,8 @@ impl LocalBackend {
                 ReuseStats::inc(&self.stats.local_spills);
                 memphis_obs::instant_val(memphis_obs::cat::CACHE, "spill", "bytes", msize as u64);
             } else {
-                shard.entries.remove(&victim);
+                drop(e);
+                shard.remove(&victim);
                 ReuseStats::inc(&self.stats.local_drops);
                 memphis_obs::instant_val(memphis_obs::cat::CACHE, "drop", "bytes", msize as u64);
             }
@@ -247,7 +243,7 @@ impl LocalBackend {
             return false;
         }
         let mut shard = map.lock_of(key);
-        let Some(e) = shard.entries.get_mut(&key) else {
+        let Some(mut e) = shard.get_mut(&key) else {
             drop(shard);
             let mut used = self.used.lock();
             *used = used.saturating_sub(size);
@@ -257,6 +253,7 @@ impl LocalBackend {
         e.size = size;
         e.backend = BackendId::Local;
         let tenant = e.tenant;
+        drop(e);
         drop(shard);
         self.charge_tenant(tenant, size);
         true
@@ -302,20 +299,21 @@ impl CacheBackend for LocalBackend {
         key: LineageId,
     ) -> Materialized {
         let mut shard = map.lock_of(key);
-        let Some(e) = shard.entries.get_mut(&key) else {
+        let Some(mut e) = shard.get_mut(&key) else {
             return Materialized::Stale;
         };
         let Some(object) = e.object.clone() else {
             return Materialized::Stale;
         };
         e.hits += 1;
-        let saved = if self.policy.policy == CachePolicy::DelayedHits && e.miss_waiters > 0 {
+        let saved = if self.policy == CachePolicy::DelayedHits && e.miss_waiters > 0 {
             // Every resident hit of a fan-out entry avoids re-imposing
             // the stacked delay its misses were observed to cause.
             (e.miss_waiters as f64 * e.compute_cost) as u64
         } else {
             0
         };
+        drop(e);
         drop(shard);
         if saved > 0 {
             self.stats
@@ -400,7 +398,6 @@ impl CacheBackend for LocalBackend {
 /// manifest and hands verified entry metadata to the cache.
 pub struct DiskBackend {
     store: SegmentStore,
-    policy: EvictionPolicy,
     /// Persistent stores keep their directory on drop; classic
     /// cache-unique spill directories are removed.
     persistent: bool,
@@ -424,7 +421,6 @@ impl DiskBackend {
         let used = recovered.iter().map(|r| r.matrix_len).sum();
         Self {
             store,
-            policy: EvictionPolicy::with_policy(config.policy),
             persistent: config.persist_dir.is_some(),
             used: Mutex::new(used),
             recovered: Mutex::new(recovered),
@@ -514,15 +510,26 @@ impl CacheBackend for DiskBackend {
         reg: &BackendRegistry,
         key: LineageId,
     ) -> Materialized {
+        // A concurrent probe of the same key may have promoted the entry
+        // to driver memory (discarding the durable copy) after the cache
+        // routed this probe here — before our snapshot or before the
+        // read. The promotion is the hit; only a still-disk-backed entry
+        // whose read fails is a real read failure (dropped for
+        // recompute).
+        let promoted_hit = |m: Arc<Matrix>| {
+            ReuseStats::inc(&self.stats.hits_disk);
+            Materialized::Hit(CachedObject::Matrix(m))
+        };
         let (hash, size) = {
             let shard = map.lock_of(key);
-            let Some(e) = shard.entries.get(&key) else {
+            let Some(e) = shard.get(&key) else {
                 return Materialized::Stale;
             };
-            let Some(CachedObject::Disk(hash)) = e.object else {
-                return Materialized::Stale;
-            };
-            (hash, e.size)
+            match &e.object {
+                Some(CachedObject::Disk(hash)) => (*hash, e.size),
+                Some(CachedObject::Matrix(m)) => return promoted_hit(m.clone()),
+                _ => return Materialized::Stale,
+            }
         };
         // A checksum rejection inside `read` tombstones the record and
         // returns nothing: the probe sees Stale, drops the entry cleanly,
@@ -550,23 +557,15 @@ impl CacheBackend for DiskBackend {
                 Materialized::Hit(CachedObject::Matrix(m))
             }
             None => {
-                // A concurrent probe of the same key may have promoted
-                // the entry to driver memory (discarding the durable
-                // copy) between our snapshot and the read. The promotion
-                // is the hit; only a still-disk-backed entry is a real
-                // read failure (and gets dropped for recompute).
                 let promoted = {
                     let shard = map.lock_of(key);
-                    shard.entries.get(&key).and_then(|e| match &e.object {
+                    shard.get(&key).and_then(|e| match &e.object {
                         Some(CachedObject::Matrix(m)) => Some(m.clone()),
                         _ => None,
                     })
                 };
                 match promoted {
-                    Some(m) => {
-                        ReuseStats::inc(&self.stats.hits_disk);
-                        Materialized::Hit(CachedObject::Matrix(m))
-                    }
+                    Some(m) => promoted_hit(m),
                     None => {
                         ReuseStats::inc(&self.stats.disk_io_errors);
                         Materialized::Stale
@@ -585,16 +584,12 @@ impl CacheBackend for DiskBackend {
     ) -> usize {
         let mut freed = 0;
         while freed < bytes {
-            let victim = map.select_victim(&self.policy, |k, e| {
-                e.backend == BackendId::Disk && skip.map(|s| k != s).unwrap_or(true)
-            });
+            let victim = map.select_victim(BackendId::Disk, |k, _| skip != Some(k));
             let Some(k) = victim else { break };
             let removed = {
                 let mut shard = map.lock_of(k);
-                match shard.entries.get(&k) {
-                    Some(e) if e.backend == BackendId::Disk && !e.pinned => {
-                        shard.entries.remove(&k)
-                    }
+                match shard.get(&k) {
+                    Some(e) if e.backend == BackendId::Disk && !e.pinned => shard.remove(&k),
                     _ => None, // victim changed hands meanwhile: reselect
                 }
             };
@@ -678,17 +673,15 @@ enum SparkFollowUp {
 /// `count()` materialization, and lazy GC of dangling references.
 pub struct SparkTier {
     backend: SparkBackend,
-    policy: EvictionPolicy,
     est: Mutex<usize>,
     stats: Arc<ReuseStats>,
 }
 
 impl SparkTier {
     /// Wraps an attached cluster.
-    pub fn new(backend: SparkBackend, config: &CacheConfig, stats: Arc<ReuseStats>) -> Self {
+    pub fn new(backend: SparkBackend, stats: Arc<ReuseStats>) -> Self {
         Self {
             backend,
-            policy: EvictionPolicy::with_policy(config.policy),
             est: Mutex::new(0),
             stats,
         }
@@ -703,13 +696,11 @@ impl SparkTier {
     /// freed, or `None` when none exist.
     fn evict_worst(&self, map: &ShardedEntryMap) -> Option<usize> {
         loop {
-            let victim = map.select_victim(&self.policy, |_, e| e.backend == BackendId::Spark)?;
+            let victim = map.select_victim(BackendId::Spark, |_, _| true)?;
             let e = {
                 let mut shard = map.lock_of(victim);
-                match shard.entries.get(&victim) {
-                    Some(e) if e.backend == BackendId::Spark && !e.pinned => {
-                        shard.entries.remove(&victim)
-                    }
+                match shard.get(&victim) {
+                    Some(e) if e.backend == BackendId::Spark && !e.pinned => shard.remove(&victim),
                     _ => None, // victim changed hands meanwhile: reselect
                 }
             };
@@ -787,7 +778,7 @@ impl CacheBackend for SparkTier {
     ) -> Materialized {
         let (object, follow_up) = {
             let mut shard = map.lock_of(key);
-            let Some(e) = shard.entries.get_mut(&key) else {
+            let Some(mut e) = shard.get_mut(&key) else {
                 return Materialized::Stale;
             };
             let Some(CachedObject::Rdd { rdd, rows, cols }) = e.object.clone() else {
@@ -935,7 +926,7 @@ impl CacheBackend for GpuTier {
         key: LineageId,
     ) -> Materialized {
         let mut shard = map.lock_of(key);
-        let Some(e) = shard.entries.get_mut(&key) else {
+        let Some(mut e) = shard.get_mut(&key) else {
             return Materialized::Stale;
         };
         let Some(CachedObject::Gpu { ptr, rows, cols }) = e.object.clone() else {
@@ -943,6 +934,7 @@ impl CacheBackend for GpuTier {
         };
         if self.mgr.acquire(ptr) {
             e.hits += 1;
+            drop(e);
             drop(shard);
             ReuseStats::inc(&self.stats.hits_gpu);
             Materialized::Hit(CachedObject::Gpu { ptr, rows, cols })

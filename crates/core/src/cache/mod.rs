@@ -246,7 +246,7 @@ impl LineageCache {
         registry.register(local);
         registry.register(disk);
         let cache = Self {
-            map: ShardedEntryMap::new(config.shards),
+            map: ShardedEntryMap::new(config.shards, config.policy),
             registry,
             config,
             stats,
@@ -313,12 +313,12 @@ impl LineageCache {
             let key = item.lid;
             {
                 let mut shard = self.map.lock_of(key);
-                if shard.entries.contains_key(&key) {
+                if shard.get(&key).is_some() {
                     drop(shard);
                     disk.discard(rec.content_hash, rec.matrix_len);
                     continue;
                 }
-                shard.entries.insert(key, entry);
+                shard.insert(key, entry);
             }
             ReuseStats::inc(&self.stats.entries_recovered);
             candidates.push((key, rec.matrix_len, score));
@@ -375,11 +375,8 @@ impl LineageCache {
     /// Attaches the simulated Spark cluster as a registered tier.
     pub fn with_spark(mut self, sc: memphis_sparksim::SparkContext) -> Self {
         let b = SparkBackend::new(sc);
-        self.registry.register(Arc::new(SparkTier::new(
-            b,
-            &self.config,
-            self.stats.clone(),
-        )));
+        self.registry
+            .register(Arc::new(SparkTier::new(b, self.stats.clone())));
         self
     }
 
@@ -388,11 +385,8 @@ impl LineageCache {
     pub fn with_spark_sync(mut self, sc: memphis_sparksim::SparkContext) -> Self {
         let mut b = SparkBackend::new(sc);
         b.sync_materialize = true;
-        self.registry.register(Arc::new(SparkTier::new(
-            b,
-            &self.config,
-            self.stats.clone(),
-        )));
+        self.registry
+            .register(Arc::new(SparkTier::new(b, self.stats.clone())));
         self
     }
 
@@ -438,6 +432,12 @@ impl LineageCache {
         self.map.shard_count()
     }
 
+    /// Checks every shard's eviction-victim index against a rebuild
+    /// from its entries (a debug check for tests).
+    pub fn check_index(&self) -> Result<(), String> {
+        self.map.check_index()
+    }
+
     /// The GPU memory manager, if a device is attached.
     pub fn gpu_manager(&self) -> Option<&Arc<GpuMemoryManager>> {
         self.registry
@@ -479,7 +479,9 @@ impl LineageCache {
     }
 
     /// Per-backend stats reports ([`CacheBackend::snapshot`]), with entry
-    /// counts filled from the probe map.
+    /// counts filled from the probe map. The local tier also reports
+    /// `evictable`, its eviction candidates: its `entries` beyond that
+    /// are scalars and placeholders, which no byte budget bounds.
     pub fn backend_snapshots(&self) -> Vec<BackendSnapshot> {
         let mut snaps = self.registry.snapshots();
         let mut counts: HashMap<BackendId, usize> = HashMap::new();
@@ -488,6 +490,10 @@ impl LineageCache {
         });
         for s in &mut snaps {
             s.entries = counts.get(&s.id).copied().unwrap_or(0);
+            if s.id == BackendId::Local {
+                s.detail
+                    .push(("evictable", self.map.evictable_len(BackendId::Local) as u64));
+            }
         }
         snaps
     }
@@ -592,7 +598,7 @@ impl LineageCache {
         let clock = self.map.tick();
         let (is_function, backend_id) = {
             let mut shard = self.map.lock_of(key);
-            let e = shard.entries.get_mut(&key)?;
+            let mut e = shard.get_mut(&key)?;
             e.last_access = clock;
             // Fold this probe's inter-arrival gap into the TTNA EWMA
             // (pure bookkeeping; only `DelayedHits` ever reads it).
@@ -680,12 +686,7 @@ impl LineageCache {
             let mut displaced: Option<Arc<Inflight>> = None;
             let step = {
                 let mut shard = self.map.lock_of(key);
-                if shard
-                    .entries
-                    .get(&key)
-                    .map(|e| e.object.is_some())
-                    .unwrap_or(false)
-                {
+                if shard.get(&key).map(|e| e.object.is_some()).unwrap_or(false) {
                     // Entry appeared between the probe and this lock.
                     Step::Retry
                 } else {
@@ -1022,41 +1023,39 @@ impl LineageCache {
         }
         let plan = {
             let mut shard = self.map.lock_of(key);
-            match shard.entries.get_mut(&key) {
-                Some(e) if e.object.is_some() => {
+            let existing = shard.get_mut(&key).map(|mut e| {
+                if e.object.is_some() {
                     e.last_access = clock;
-                    Plan::AlreadyCached
+                    return Plan::AlreadyCached;
                 }
-                Some(e) => {
-                    // Placeholder: advance, store when the delay is reached.
-                    let (seen, needed) = match e.status {
-                        EntryStatus::ToBeCached { seen, needed } => (seen + 1, needed),
-                        EntryStatus::Cached => unreachable!("cached entries have objects"),
-                    };
-                    if seen >= needed {
-                        // Carry the placeholder's reuse statistics into
-                        // the admitted entry so eq. (1) scoring does not
-                        // restart from zero for proven repeaters.
-                        Plan::Store {
-                            carry: Some((e.hits, e.misses, e.jobs)),
-                        }
-                    } else {
-                        e.status = EntryStatus::ToBeCached { seen, needed };
-                        e.last_access = clock;
-                        Plan::Deferred
+                // Placeholder: advance, store when the delay is reached.
+                let (seen, needed) = match e.status {
+                    EntryStatus::ToBeCached { seen, needed } => (seen + 1, needed),
+                    EntryStatus::Cached => unreachable!("cached entries have objects"),
+                };
+                if seen >= needed {
+                    // Carry the placeholder's reuse statistics into the
+                    // admitted entry so eq. (1) scoring does not restart
+                    // from zero for proven repeaters.
+                    Plan::Store {
+                        carry: Some((e.hits, e.misses, e.jobs)),
                     }
+                } else {
+                    e.status = EntryStatus::ToBeCached { seen, needed };
+                    e.last_access = clock;
+                    Plan::Deferred
                 }
+            });
+            match existing {
+                Some(plan) => plan,
+                None if delay <= 1 => Plan::Store { carry: None },
                 None => {
-                    if delay <= 1 {
-                        Plan::Store { carry: None }
-                    } else {
-                        let mut ph = CacheEntry::placeholder(item, cost, size_hint, delay);
-                        ph.backend = backend;
-                        ph.last_access = clock;
-                        ph.tenant = tenant;
-                        shard.entries.insert(key, ph);
-                        Plan::Deferred
-                    }
+                    let mut ph = CacheEntry::placeholder(item, cost, size_hint, delay);
+                    ph.backend = backend;
+                    ph.last_access = clock;
+                    ph.tenant = tenant;
+                    shard.insert(key, ph);
+                    Plan::Deferred
                 }
             }
         };
@@ -1078,13 +1077,8 @@ impl LineageCache {
                         if ttna > self.expected_lifetime_ticks(size_hint) {
                             ReuseStats::inc(&self.stats.ttna_admission_rejects);
                             let mut shard = self.map.lock_of(key);
-                            if shard
-                                .entries
-                                .get(&key)
-                                .map(|e| e.object.is_none())
-                                .unwrap_or(false)
-                            {
-                                shard.entries.remove(&key);
+                            if shard.get(&key).map(|e| e.object.is_none()).unwrap_or(false) {
+                                shard.remove(&key);
                             }
                             return false;
                         }
@@ -1112,13 +1106,8 @@ impl LineageCache {
                         // cleanly (but never a racing session's stored
                         // entry).
                         let mut shard = self.map.lock_of(key);
-                        if shard
-                            .entries
-                            .get(&key)
-                            .map(|e| e.object.is_none())
-                            .unwrap_or(false)
-                        {
-                            shard.entries.remove(&key);
+                        if shard.get(&key).map(|e| e.object.is_none()).unwrap_or(false) {
+                            shard.remove(&key);
                         }
                         false
                     }
@@ -1162,7 +1151,7 @@ impl LineageCache {
             return Admitted::Rejected;
         }
         let mut shard = self.map.lock_of(key);
-        match shard.entries.get(&key) {
+        match shard.get(&key) {
             Some(existing) if existing.object.is_some() => {
                 // Lost the admission race: another session stored this
                 // lineage item between our plan and now. Keep theirs and
@@ -1172,7 +1161,7 @@ impl LineageCache {
                 Admitted::Raced
             }
             _ => {
-                shard.entries.insert(key, e);
+                shard.insert(key, e);
                 drop(shard);
                 if self.config.policy == CachePolicy::DelayedHits {
                     // Residency restarts the evidence: a later eviction
@@ -1298,6 +1287,7 @@ mod tests {
     use memphis_matrix::rand_gen::rand_uniform;
     use memphis_matrix::{BlockedMatrix, Matrix};
     use memphis_sparksim::{SparkConfig, SparkContext};
+    use proptest::prelude::*;
     use std::sync::Arc as StdArc;
 
     fn item(name: &str) -> LItem {
@@ -1550,6 +1540,54 @@ mod tests {
     }
 
     #[test]
+    fn rdd_budget_evicts_exact_eq1_minimum() {
+        // A Spark budget full of RDD entries whose unmaterialized reuses
+        // (r_m) raise some scores: each over-budget put evicts exactly
+        // the brute-force minimum.
+        let sc = SparkContext::new(SparkConfig::local_test());
+        let c = LineageCache::new(CacheConfig::test()).with_spark_sync(sc.clone());
+        let slot = c.spark_backend().unwrap().reuse_budget / 40;
+        let m = rand_uniform(4, 4, 0.0, 1.0, 5);
+        let b = BlockedMatrix::from_dense(&m, 4).unwrap();
+        let rdd = |i: usize| {
+            let src = sc.parallelize_blocked(&b, format!("exact{i}"));
+            CachedObject::Rdd {
+                rdd: sc.map(&src, "id", StdArc::new(|k, m| (*k, m.deep_clone()))),
+                rows: 4,
+                cols: 4,
+            }
+        };
+        for i in 0..60 {
+            if i >= 40 {
+                let expected = brute_force_victim(&c, BackendId::Spark, |_| true);
+                assert_eq!(c.map.select_victim(BackendId::Spark, |_, _| true), expected);
+                let expected = expected.expect("budget full of RDDs");
+                c.put(
+                    &item(&format!("exact{i}")),
+                    rdd(i),
+                    1.0 + (i % 7) as f64,
+                    slot,
+                    1,
+                );
+                assert!(c.peek(expected).is_none(), "put {i} evicted the minimum");
+            } else {
+                c.put(
+                    &item(&format!("exact{i}")),
+                    rdd(i),
+                    1.0 + (i % 7) as f64,
+                    slot,
+                    1,
+                );
+            }
+            if i % 3 == 0 {
+                c.probe(&item(&format!("exact{}", i / 2)));
+            }
+            assert_eq!(c.map.check_index(), Ok(()));
+        }
+        assert_eq!(c.stats().rdd_unpersists, 20);
+    }
+
+    #[test]
     fn materialized_rdd_hit_runs_lazy_gc() {
         let (c, sc) = spark_cache();
         let m = rand_uniform(16, 4, 0.0, 1.0, 6);
@@ -1765,6 +1803,18 @@ mod tests {
         assert_eq!(local.entries, 1);
         assert_eq!(local.used, m.size_bytes());
         assert!(!c.backend_report().is_empty());
+        // Scalars count as entries but are never eviction candidates;
+        // neither are pinned matrices.
+        let evictable = |c: &LineageCache| {
+            let snaps = c.backend_snapshots();
+            let local = snaps.iter().find(|s| s.id == BackendId::Local).unwrap();
+            let gauge = local.detail.iter().find(|(k, _)| *k == "evictable");
+            (local.entries, gauge.map(|(_, v)| *v))
+        };
+        c.put(&item("s"), CachedObject::Scalar(1.0), 1.0, 16, 1);
+        assert_eq!(evictable(&c), (2, Some(1)));
+        c.pin(&item("m"));
+        assert_eq!(evictable(&c), (2, Some(0)));
     }
 
     // --------------------------------------------------------------
@@ -2012,5 +2062,207 @@ mod tests {
         // the tenant is charged again.
         c.probe(&i1).expect("disk hit");
         assert_eq!(c.tenant_local_used(1), m1.size_bytes());
+    }
+
+    // --------------------------------------------------------------
+    // Victim index: exact eq. (1) selection
+    // --------------------------------------------------------------
+
+    /// One step of the victim-index oracle run.
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        /// Matrix put (`delay` 2 leaves a placeholder first); tenant 1
+        /// when `quota` is set.
+        Put {
+            item: u8,
+            cost: u8,
+            rows: u8,
+            delay: u8,
+            quota: bool,
+        },
+        /// Scalar put (never an eviction candidate).
+        PutScalar(u8),
+        /// Probe: a hit, a disk hit that promotes, a placeholder miss, or
+        /// a plain miss, depending on the entry's state.
+        Probe(u8),
+        Job(u8),
+        Waiters(u8, u8),
+        Pin(u8),
+        Unpin(u8),
+        /// One forced local eviction (spills entries with hits).
+        Spill,
+        /// `admit_existing` of a disk-backed entry.
+        Promote(u8),
+        Remove(u8),
+    }
+
+    /// Draws [`IndexOp`]s, puts and probes weighted up.
+    struct IndexOps;
+
+    impl Strategy for IndexOps {
+        type Value = IndexOp;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> IndexOp {
+            let k = rng.below(12) as u8;
+            match rng.below(19) {
+                0..=4 => IndexOp::Put {
+                    item: k,
+                    cost: rng.below(4) as u8,
+                    rows: 1 + rng.below(8) as u8,
+                    delay: 1 + rng.below(2) as u8,
+                    quota: rng.below(2) == 1,
+                },
+                5 => IndexOp::PutScalar(k),
+                6..=11 => IndexOp::Probe(k),
+                12 => IndexOp::Job(k),
+                13 => IndexOp::Waiters(k, 1 + rng.below(3) as u8),
+                14 => IndexOp::Pin(k),
+                15 => IndexOp::Unpin(k),
+                16 => IndexOp::Spill,
+                17 => IndexOp::Promote(k),
+                _ => IndexOp::Remove(k),
+            }
+        }
+    }
+
+    fn oracle_item(k: u8) -> LItem {
+        item(&format!("oracle{k}"))
+    }
+
+    /// Brute force over the whole map: the minimum `(score, content
+    /// hash)` among `tier`'s unpinned entries passing `filter` (local
+    /// matrices only, for the local tier).
+    fn brute_force_victim(
+        c: &LineageCache,
+        tier: BackendId,
+        filter: impl Fn(&CacheEntry) -> bool,
+    ) -> Option<LineageId> {
+        let policy = crate::backend::EvictionPolicy::with_policy(c.config.policy);
+        let mut best: Option<(f64, u64, LineageId)> = None;
+        c.map.for_each(|k, e| {
+            let candidate = e.backend == tier
+                && (tier != BackendId::Local || matches!(e.object, Some(CachedObject::Matrix(_))))
+                && !e.pinned
+                && filter(e);
+            if !candidate {
+                return;
+            }
+            let s = policy.score(e);
+            let better =
+                best.is_none_or(|(bs, bh, _)| s < bs || (s == bs && k.content_hash() < bh));
+            if better {
+                best = Some((s, k.content_hash(), k));
+            }
+        });
+        best.map(|b| b.2)
+    }
+
+    const ORACLE_QUOTA: usize = 1 << 10;
+
+    fn apply_index_op(c: &LineageCache, op: &IndexOp) -> Result<(), String> {
+        let local = c
+            .registry
+            .downcast::<LocalBackend>(BackendId::Local)
+            .expect("local tier");
+        match *op {
+            IndexOp::Put {
+                item,
+                cost,
+                rows,
+                delay,
+                quota,
+            } => {
+                let m = Matrix::zeros(rows as usize, 8);
+                let cost = [1.0, 2.0, 8.0, 1e3][cost as usize];
+                let tenant = quota.then_some(1);
+                let size = m.size_bytes();
+                c.put_as(
+                    &oracle_item(item),
+                    mat(&m),
+                    cost,
+                    size,
+                    delay as u32,
+                    tenant,
+                );
+            }
+            IndexOp::PutScalar(k) => {
+                c.put(&oracle_item(k), CachedObject::Scalar(k as f64), 1.0, 16, 1);
+            }
+            IndexOp::Probe(k) => {
+                c.probe(&oracle_item(k));
+            }
+            IndexOp::Job(k) => c.note_job(&oracle_item(k)),
+            IndexOp::Waiters(k, n) => c.note_miss_waiters(&oracle_item(k), n as u64),
+            IndexOp::Pin(k) => {
+                c.pin(&oracle_item(k));
+            }
+            IndexOp::Unpin(k) => {
+                c.unpin(&oracle_item(k));
+            }
+            IndexOp::Spill => {
+                let over_quota = c.tenant_local_used(1) > ORACLE_QUOTA;
+                let expected = over_quota
+                    .then(|| brute_force_victim(c, BackendId::Local, |e| e.tenant == Some(1)))
+                    .flatten()
+                    .or_else(|| brute_force_victim(c, BackendId::Local, |_| true));
+                local.evict_until(&c.map, &c.registry, 1, None);
+                if let Some(v) = expected {
+                    let still_local = c
+                        .map
+                        .with_entry(v, |e| e.is_some_and(|e| e.backend == BackendId::Local));
+                    prop_assert!(!still_local, "the oracle's victim was evicted");
+                }
+            }
+            IndexOp::Promote(k) => {
+                // A disk hit's promotion, without the record read.
+                let key = oracle_item(k).lid;
+                let on_disk = c.map.with_entry(key, |e| {
+                    e.filter(|e| e.backend == BackendId::Disk).map(|e| e.size)
+                });
+                if let Some(size) = on_disk {
+                    if local.admit_existing(&c.map, key, Arc::new(Matrix::zeros(2, 8))) {
+                        let disk = c.registry.downcast::<DiskBackend>(BackendId::Disk);
+                        disk.expect("disk tier").discard(key.content_hash(), size);
+                    }
+                }
+            }
+            IndexOp::Remove(k) => {
+                c.remove(oracle_item(k).lid);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// After every mutation the local and disk victims the indexes
+        /// give are the brute-force full-map eq. (1) minima, and every
+        /// shard's indexes match a rebuild from its entries, under both
+        /// cost models.
+        #[test]
+        fn victim_index_matches_brute_force(
+            delayed in any::<bool>(),
+            ops in proptest::collection::vec(IndexOps, 1..160),
+        ) {
+            let mut cfg = CacheConfig::test();
+            cfg.local_budget = 3 << 10;
+            cfg.shards = 4;
+            cfg.policy = if delayed { CachePolicy::DelayedHits } else { CachePolicy::Paper };
+            let c = LineageCache::new(cfg);
+            c.set_tenant_quota(1, ORACLE_QUOTA);
+            for op in &ops {
+                apply_index_op(&c, op)?;
+                c.map.check_index().map_err(|e| format!("after {op:?}: {e}"))?;
+                for tier in [BackendId::Local, BackendId::Disk] {
+                    let indexed = c.map.select_victim(tier, |_, _| true);
+                    let brute = brute_force_victim(&c, tier, |_| true);
+                    prop_assert!(
+                        indexed == brute,
+                        "{tier} after {op:?}: index {indexed:?}, brute force {brute:?}"
+                    );
+                }
+            }
+        }
     }
 }

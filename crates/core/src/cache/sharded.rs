@@ -16,15 +16,20 @@
 //! outside the entry map, so eviction can never select an in-flight
 //! computation as a victim.
 //!
+//! Each shard also keeps ordered indexes of its eq. (1) eviction
+//! candidates (see [`EntryMap`]), so a tier's victim is the minimum of
+//! the shard heads instead of the result of a scan.
+//!
 //! Lock discipline (see DESIGN.md §6):
-//! 1. At most one shard lock is held at a time — cross-shard scans
+//! 1. At most one shard lock is held at a time — cross-shard walks
 //!    (victim selection, lazy GC, reports) lock shards sequentially.
 //! 2. A shard lock may be taken before a backend accounting lock, never
 //!    the reverse.
 //! 3. Nothing blocks on an [`Inflight`] condvar while holding a shard
 //!    lock.
 
-use crate::backend::{EntryMap, EvictionPolicy};
+use crate::backend::{BackendId, EntryMap, VictimKey};
+use crate::cache::config::CachePolicy;
 use crate::cache::entry::{CacheEntry, CachedObject};
 use crate::lineage::{LItem, LineageId};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -148,10 +153,12 @@ const GHOST_CAP: usize = 4096;
 
 impl ShardedEntryMap {
     /// Creates a map with `shards` partitions (rounded up to a power of
-    /// two, clamped to `1..=1024`).
-    pub fn new(shards: usize) -> Self {
+    /// two, clamped to `1..=1024`) whose victim indexes score entries
+    /// under `policy`.
+    pub fn new(shards: usize, policy: CachePolicy) -> Self {
         let n = shards.clamp(1, 1024).next_power_of_two();
-        let shards: Vec<Mutex<EntryMap>> = (0..n).map(|_| Mutex::new(EntryMap::new())).collect();
+        let shards: Vec<Mutex<EntryMap>> =
+            (0..n).map(|_| Mutex::new(EntryMap::new(policy))).collect();
         Self {
             shards: shards.into_boxed_slice(),
             mask: (n - 1) as u64,
@@ -229,7 +236,7 @@ impl ShardedEntryMap {
     /// Total entries across shards (placeholders included).
     pub fn len(&self) -> usize {
         (0..self.shards.len())
-            .map(|i| self.lock_shard(i).entries.len())
+            .map(|i| self.lock_shard(i).len())
             .sum()
     }
 
@@ -238,25 +245,46 @@ impl ShardedEntryMap {
         self.len() == 0
     }
 
+    /// Total eviction candidates of `tier` across shards.
+    pub fn evictable_len(&self, tier: BackendId) -> usize {
+        (0..self.shards.len())
+            .map(|i| self.lock_shard(i).evictable_len(tier))
+            .sum()
+    }
+
+    /// Checks every shard's victim index against its entries (see
+    /// [`EntryMap::check_index`]).
+    pub fn check_index(&self) -> Result<(), String> {
+        for i in 0..self.shards.len() {
+            self.lock_shard(i)
+                .check_index()
+                .map_err(|e| format!("shard {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Visits every entry, one shard lock at a time.
     pub fn for_each<F: FnMut(LineageId, &CacheEntry)>(&self, mut f: F) {
         for i in 0..self.shards.len() {
-            let shard = self.lock_shard(i);
-            for (k, e) in shard.entries.iter() {
-                f(*k, e);
+            for (k, e) in self.lock_shard(i).iter() {
+                f(k, e);
             }
         }
     }
 
-    /// Runs `f` on the (mutable) entry for `key` under its shard lock.
+    /// Runs `f` on the (mutable) entry for `key` under its shard lock,
+    /// re-keying the shard's victim index afterwards.
     pub fn with_entry<R>(&self, key: LineageId, f: impl FnOnce(Option<&mut CacheEntry>) -> R) -> R {
         let mut shard = self.lock_of(key);
-        f(shard.entries.get_mut(&key))
+        let mut entry = shard.get_mut(&key);
+        let out = f(entry.as_deref_mut());
+        drop(entry);
+        out
     }
 
     /// Removes and returns the entry for `key`.
     pub fn remove_entry(&self, key: LineageId) -> Option<CacheEntry> {
-        self.lock_of(key).entries.remove(&key)
+        self.lock_of(key).remove(&key)
     }
 
     /// Drains every entry out of the map (in-flight markers are left in
@@ -264,47 +292,34 @@ impl ShardedEntryMap {
     pub fn drain_entries(&self) -> Vec<(LineageId, CacheEntry)> {
         let mut out = Vec::new();
         for i in 0..self.shards.len() {
-            out.extend(std::mem::take(&mut self.lock_shard(i).entries));
+            out.extend(self.lock_shard(i).drain());
         }
         out
     }
 
-    /// Selects the minimum eq. (1) score victim among entries matching
-    /// `filter`, sampling up to `policy.sample_limit` candidates per
-    /// shard. Shards are scanned sequentially (one lock at a time), so a
-    /// concurrent insertion may be missed — callers re-validate the
-    /// victim under its shard lock before acting on it. The running best
-    /// is a `Copy` id: nothing is cloned during the scan.
-    pub fn select_victim<F>(&self, policy: &EvictionPolicy, filter: F) -> Option<LineageId>
+    /// The exact eq. (1) minimum among `tier`'s eviction candidates
+    /// (unpinned local matrices, disk records, or Spark RDDs) that pass
+    /// `filter`: each shard's victim index for the tier is walked from
+    /// its head to the first passing entry, and the lowest of those
+    /// shard heads wins. Ties break on the content-derived lineage hash.
+    /// Shards are locked one at a time, so a concurrent mutation may be
+    /// missed — callers re-validate the victim under its shard lock
+    /// before acting on it. Unindexed tiers have no candidates.
+    pub fn select_victim<F>(&self, tier: BackendId, filter: F) -> Option<LineageId>
     where
         F: Fn(LineageId, &CacheEntry) -> bool,
     {
-        let mut best: Option<(LineageId, f64)> = None;
+        let mut best: Option<VictimKey> = None;
         for i in 0..self.shards.len() {
             let shard = self.lock_shard(i);
-            for (k, e) in shard
-                .entries
-                .iter()
-                .filter(|(k, e)| !e.pinned && filter(**k, e))
-                .take(policy.sample_limit)
-            {
-                let score = policy.score(e);
-                // Score ties break on the content-derived lineage hash,
-                // not map iteration order: victim identity (and with it
-                // every downstream eviction counter) stays identical run
-                // over run.
-                let better = match best {
-                    None => true,
-                    Some((bk, bs)) => {
-                        score < bs || (score == bs && k.content_hash() < bk.content_hash())
-                    }
-                };
-                if better {
-                    best = Some((*k, score));
+            let head = shard.evictable(tier).find(|(k, e)| filter(k.id(), e));
+            if let Some((k, _)) = head {
+                if best.is_none_or(|b| k < b) {
+                    best = Some(k);
                 }
             }
         }
-        best.map(|(k, _)| k)
+        best.map(VictimKey::id)
     }
 
     /// The in-flight marker for `key`, if a computation is pending.
@@ -325,15 +340,15 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedEntryMap::new(1).shard_count(), 1);
-        assert_eq!(ShardedEntryMap::new(3).shard_count(), 4);
-        assert_eq!(ShardedEntryMap::new(8).shard_count(), 8);
-        assert_eq!(ShardedEntryMap::new(0).shard_count(), 1);
+        assert_eq!(ShardedEntryMap::new(1, CachePolicy::Paper).shard_count(), 1);
+        assert_eq!(ShardedEntryMap::new(3, CachePolicy::Paper).shard_count(), 4);
+        assert_eq!(ShardedEntryMap::new(8, CachePolicy::Paper).shard_count(), 8);
+        assert_eq!(ShardedEntryMap::new(0, CachePolicy::Paper).shard_count(), 1);
     }
 
     #[test]
     fn shard_assignment_is_deterministic() {
-        let m = ShardedEntryMap::new(8);
+        let m = ShardedEntryMap::new(8, CachePolicy::Paper);
         let a = leaf("x");
         let b = leaf("x");
         assert_eq!(m.shard_index(a.lid), m.shard_index(b.lid));
@@ -341,7 +356,7 @@ mod tests {
 
     #[test]
     fn clock_is_global_across_shards() {
-        let m = ShardedEntryMap::new(4);
+        let m = ShardedEntryMap::new(4, CachePolicy::Paper);
         assert_eq!(m.tick(), 1);
         assert_eq!(m.tick(), 2);
         assert_eq!(m.clock(), 2);
@@ -349,11 +364,11 @@ mod tests {
 
     #[test]
     fn entries_distribute_and_drain() {
-        let m = ShardedEntryMap::new(4);
+        let m = ShardedEntryMap::new(4, CachePolicy::Paper);
         for i in 0..32 {
             let item = leaf(&format!("e{i}"));
             let e = CacheEntry::cached(&item, CachedObject::Scalar(i as f64), 1.0, 16);
-            m.lock_of(item.lid).entries.insert(item.lid, e);
+            m.lock_of(item.lid).insert(item.lid, e);
         }
         assert_eq!(m.len(), 32);
         let mut seen = 0;
@@ -365,17 +380,26 @@ mod tests {
 
     #[test]
     fn select_victim_scans_all_shards_and_skips_pinned() {
-        let m = ShardedEntryMap::new(8);
-        let policy = EvictionPolicy::default();
+        let m = ShardedEntryMap::new(8, CachePolicy::Paper);
+        let matrix = || CachedObject::Matrix(Arc::new(memphis_matrix::Matrix::zeros(2, 2)));
         for (name, cost, pinned) in [("a", 50.0, false), ("b", 2.0, true), ("c", 9.0, false)] {
             let item = leaf(name);
-            let mut e = CacheEntry::cached(&item, CachedObject::Scalar(0.0), cost, 16);
+            let mut e = CacheEntry::cached(&item, matrix(), cost, 16);
             e.pinned = pinned;
-            m.lock_of(item.lid).entries.insert(item.lid, e);
+            m.lock_of(item.lid).insert(item.lid, e);
         }
-        let victim = m.select_victim(&policy, |_, _| true).expect("victim");
+        // Scalars are never local eviction candidates, however cheap.
+        let scalar = leaf("s");
+        let e = CacheEntry::cached(&scalar, CachedObject::Scalar(0.0), 0.1, 16);
+        m.lock_of(scalar.lid).insert(scalar.lid, e);
+        let victim = m
+            .select_victim(BackendId::Local, |_, _| true)
+            .expect("victim");
         let cost = m.with_entry(victim, |e| e.unwrap().compute_cost);
         assert_eq!(cost, 9.0, "cheapest unpinned entry wins");
+        assert_eq!(m.evictable_len(BackendId::Local), 2);
+        assert_eq!(m.select_victim(BackendId::Gpu, |_, _| true), None);
+        assert_eq!(m.check_index(), Ok(()));
     }
 
     #[test]
@@ -432,7 +456,7 @@ mod tests {
 
     #[test]
     fn contended_locks_counted() {
-        let m = Arc::new(ShardedEntryMap::new(1));
+        let m = Arc::new(ShardedEntryMap::new(1, CachePolicy::Paper));
         let g = m.lock_shard(0);
         let m2 = m.clone();
         let t = std::thread::spawn(move || {

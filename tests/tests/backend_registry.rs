@@ -193,6 +193,52 @@ fn concurrent_probe_put_smoke() {
 // Eviction-order and budget properties
 // ----------------------------------------------------------------------
 
+/// Two caches in one process, driven by the same puts and probes, evict
+/// the same victims in the same order — also when every shard holds far
+/// more than 64 eviction candidates. Each cache's shard maps iterate in
+/// their own per-map random order, so selection must not depend on it.
+#[test]
+fn eviction_sequence_is_identical_across_caches() {
+    let size = Matrix::zeros(4, 4).size_bytes();
+    let resident = 400; // ~100 candidates in each of 4 shards
+    let extra = 150;
+    let make = || {
+        let mut cfg = CacheConfig::test();
+        cfg.spill_to_disk = false;
+        cfg.shards = 4;
+        cfg.local_budget = size * resident;
+        LineageCache::new(cfg)
+    };
+    let items: Vec<_> = (0..resident + extra)
+        .map(|i| LineageItem::leaf(&format!("det{i}")))
+        .collect();
+    let victims_of = |cache: &LineageCache| {
+        let mut live: Vec<LineageId> = Vec::new();
+        let mut victims = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            let cost = 1.0 + ((i * 7919) % 97) as f64;
+            let m = Arc::new(Matrix::zeros(4, 4));
+            cache.put(item, CachedObject::Matrix(m), cost, size, 1);
+            if i % 3 == 0 {
+                let _ = cache.probe(&items[i / 2]);
+            }
+            live.push(item.lid);
+            live.retain(|k| {
+                let kept = cache.peek(*k).is_some();
+                if !kept {
+                    victims.push(k.content_hash());
+                }
+                kept
+            });
+        }
+        victims
+    };
+    let (a, b) = (make(), make());
+    let first = victims_of(&a);
+    assert_eq!(first.len(), extra, "one eviction per put beyond the budget");
+    assert_eq!(first, victims_of(&b), "victim sequences diverge");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

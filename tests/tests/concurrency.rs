@@ -333,6 +333,83 @@ fn stress_counters_invariant_across_thread_counts() {
 }
 
 // ----------------------------------------------------------------------
+// Victim index under churn
+// ----------------------------------------------------------------------
+
+/// Sessions that put, probe, pin and unpin a shared pool race sessions
+/// that force evictions with large puts, under both cost models. Every
+/// mutation re-keys its shard's eviction-victim index under the shard
+/// lock, so after the join each index matches a rebuild from its
+/// entries, and no admission ever pushed the local tier past its budget.
+#[test]
+fn victim_index_survives_concurrent_churn() {
+    use memphis_core::CachePolicy;
+    use memphis_matrix::hash;
+
+    let seed = chaos_seed();
+    let psize = payload().size_bytes();
+    for policy in [CachePolicy::Paper, CachePolicy::DelayedHits] {
+        let mut cfg = CacheConfig::test();
+        cfg.local_budget = psize * 24;
+        cfg.shards = 4;
+        cfg.policy = policy;
+        let budget = cfg.local_budget;
+        let cache = LineageCache::new(cfg);
+        let (workers, evictors, rounds) = (4u64, 2u64, 400u64);
+        let start = Barrier::new((workers + evictors) as usize);
+        let overshoots = AtomicU64::new(0);
+        let pool: Vec<LItem> = (0..48)
+            .map(|i| LineageItem::leaf(&format!("churn/pool{i}")))
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..workers + evictors {
+                let (cache, start, overshoots, pool) = (&cache, &start, &overshoots, &pool);
+                s.spawn(move || {
+                    start.wait();
+                    for r in 0..rounds {
+                        let x = hash::seeded(seed, t, r);
+                        let item = &pool[(x % pool.len() as u64) as usize];
+                        if t >= workers {
+                            // Forced eviction: a matrix worth eight pool
+                            // entries must make room first.
+                            let big = LineageItem::leaf(&format!("churn/big_t{t}_r{r}"));
+                            let m = Matrix::zeros(16, 128);
+                            let size = m.size_bytes();
+                            cache.put(&big, CachedObject::Matrix(Arc::new(m)), 1.0, size, 1);
+                        } else {
+                            match (x >> 8) % 5 {
+                                0 | 1 => {
+                                    let cost = 1.0 + ((x >> 16) % 8) as f64;
+                                    let m = Arc::new(payload());
+                                    cache.put(item, CachedObject::Matrix(m), cost, psize, 1);
+                                }
+                                2 => {
+                                    let _ = cache.probe(item);
+                                }
+                                3 => {
+                                    cache.pin(item);
+                                }
+                                _ => {
+                                    cache.unpin(item);
+                                    cache.note_miss_waiters(item, 1);
+                                }
+                            }
+                        }
+                        if cache.local_used() > budget {
+                            overshoots.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.check_index(), Ok(()), "{policy:?}");
+        assert_eq!(overshoots.load(Ordering::Relaxed), 0, "{policy:?} overshot");
+        assert!(cache.local_used() <= budget);
+        assert!(cache.stats().local_drops > 0, "{policy:?}: evictions ran");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Observability: a waiter's inflight_wait span overlaps the owner
 // ----------------------------------------------------------------------
 
